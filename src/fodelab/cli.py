@@ -185,7 +185,10 @@ def run_convergence_study(
 
     Rows run concurrently up to the thread cap but are assembled in input
     order, so the report is deterministic.  A solver failure marks its row
-    and the study continues with the remaining levels.
+    and the study continues with the remaining levels.  The L2 rate is
+    flagged when it lies more than ``rate_tol`` from k+1 either way; the
+    downwind rate only when it falls more than ``rate_tol`` short of its
+    expected order, since that order is a lower bound.
     """
     if spec.exact is None:
         raise ValueError("a convergence study needs a problem with an exact solution")
@@ -236,9 +239,10 @@ def run_convergence_study(
     if rate_l2_ls is not None and abs(rate_l2_ls - expected_l2) > rate_tol:
         flags.append(f"L2 rate {rate_l2_ls:.3f} deviates from expected {expected_l2:g} "
                      f"by more than {rate_tol:g}")
+    # the downwind order is a floor: superconvergence beyond it is no fault
     if expected_dw is not None and rate_dw_ls is not None \
-            and abs(rate_dw_ls - expected_dw) > rate_tol:
-        flags.append(f"downwind rate {rate_dw_ls:.3f} deviates from expected "
+            and rate_dw_ls < expected_dw - rate_tol:
+        flags.append(f"downwind rate {rate_dw_ls:.3f} falls short of expected "
                      f"{expected_dw:g} by more than {rate_tol:g}")
 
     return ConvergenceReport(
@@ -480,7 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", required=True, help="comma list, e.g. 8,16,32,64")
     p.add_argument("--out-dir", default=".", help="directory for CSV/JSON reports")
     p.add_argument("--rate-tol", type=float, default=0.4,
-                   help="deviation from the expected rate that raises a flag")
+                   help="deviation from the expected L2 rate, or shortfall below the "
+                        "expected downwind rate, that raises a flag")
     p.add_argument("--threads", type=int, default=None,
                    help="row parallelism (default: FODELAB_THREADS or 1)")
     p.set_defaults(handler=cmd_converge)

@@ -18,7 +18,12 @@ Both are computed in closed form:
 
 The near/far switch is ``(h_src + h_tgt) / (2 * center_distance) <= 0.35``;
 at that threshold the 40-term multipole tail is below 1e-17 relative, while
-the near form keeps its cancellation loss mild.  Entries are fully accurate
+the near form keeps its cancellation loss mild.  The switch lives here only:
+``_element_history`` splits the history of one element into one batched
+far-field sum plus near-field terms, and both the LDG march and
+``frac_pairing`` call it; point evaluation (``frac_integral_eval``,
+``rl_derivative_eval``) applies the same separation with the evaluation
+time as a target of width 0.  Entries are fully accurate
 for degrees used in practice (k <= 5 better than 1e-12 relative); at the
 supported maximum k = 8 adjacent-element entries lose a few more digits to
 cancellation between the two power families but stay near 1e-9.
@@ -200,6 +205,13 @@ def _near_history(beta: float, coeffs: np.ndarray, s0: float, s1: float, rho: fl
     return t_start @ (b * cfi) - t_end @ (e * cfi)
 
 
+def _separation(h_src, h_tgt, dist):
+    """(h_src + h_tgt) / (2 * dist): the near/far measure of a source element
+    of width h_src whose center lies dist before the target's center.  A
+    point target has h_tgt = 0.  Works elementwise on arrays."""
+    return (h_src + h_tgt) / (2.0 * dist)
+
+
 @lru_cache(maxsize=32)
 def _p_table(k: int) -> np.ndarray:
     """P[q, l] = int_0^1 phi_q(xi) (2*xi-1)**l dxi for l = 0..MULTIPOLE_TERMS."""
@@ -212,23 +224,19 @@ def _p_table(k: int) -> np.ndarray:
     return p
 
 
-_far_kernel_cache: dict[float, np.ndarray] = {}
-
+@lru_cache(maxsize=256)
 def _far_kernel_table(beta: float) -> np.ndarray:
     """K[l, m] = binom(beta-1, l+m) * C(l+m, l), zero past total order 40."""
-    tab = _far_kernel_cache.get(beta)
-    if tab is None:
-        nmax = MULTIPOLE_TERMS
-        bnm = np.empty(nmax + 1)
-        bnm[0] = 1.0
-        for n in range(1, nmax + 1):
-            bnm[n] = bnm[n - 1] * (beta - n) / n
-        tab = np.zeros((nmax + 1, nmax + 1))
-        for l in range(nmax + 1):
-            for m in range(nmax + 1 - l):
-                tab[l, m] = bnm[l + m] * comb(l + m, l)
-        tab.flags.writeable = False
-        _far_kernel_cache[beta] = tab
+    nmax = MULTIPOLE_TERMS
+    bnm = np.empty(nmax + 1)
+    bnm[0] = 1.0
+    for n in range(1, nmax + 1):
+        bnm[n] = bnm[n - 1] * (beta - n) / n
+    tab = np.zeros((nmax + 1, nmax + 1))
+    for l in range(nmax + 1):
+        for m in range(nmax + 1 - l):
+            tab[l, m] = bnm[l + m] * comb(l + m, l)
+    tab.flags.writeable = False
     return tab
 
 
@@ -263,7 +271,7 @@ def far_history_sum(
     h_t = b_t - a_t
     h_s = src[:, 1] - src[:, 0]
     dist = 0.5 * (a_t + b_t) - 0.5 * (src[:, 0] + src[:, 1])
-    theta = (h_s + h_t) / (2.0 * dist)
+    theta = _separation(h_s, h_t, dist)
     if np.any(dist <= 0) or np.any(theta > NEAR_FIELD_THRESHOLD * (1 + 1e-12)):
         raise ValueError("far_history_sum called with a source outside the far field")
 
@@ -271,7 +279,7 @@ def far_history_sum(
     a_ratio = h_t / (2.0 * dist)
     b_ratio = h_s / (2.0 * dist)
     p = _p_table(k)
-    v = c @ _p_table(k)  # (nsrc, L+1) source moments against (2*sigma-1)**m
+    v = c @ p  # (nsrc, L+1) source moments against (2*sigma-1)**m
     w_src = dist ** (beta - 1.0) * h_s
     apow = a_ratio[None, :] ** ls[:, None]                      # (L+1, nsrc)
     bv = ((-b_ratio[None, :]) ** ls[:, None]) * v.T * w_src     # (L+1, nsrc)
@@ -300,7 +308,7 @@ def history_contribution(
     beta = _check_beta(beta)
     c = np.asarray(source_coeffs, dtype=float)
     if c.ndim != 1 or c.size - 1 > MAX_DEGREE:
-        raise ValueError("source coefficients must be a vector of degree <= 8 polynomial")
+        raise ValueError(f"source coefficients must be a vector of degree <= {MAX_DEGREE} polynomial")
     a_s, b_s = map(float, source_interval)
     a_t, b_t = map(float, target_interval)
     h_s, h_t = b_s - a_s, b_t - a_t
@@ -311,12 +319,33 @@ def history_contribution(
         raise ValueError("source element must precede the target element")
 
     dist = 0.5 * (a_t + b_t) - 0.5 * (a_s + b_s)
-    if (h_s + h_t) / (2.0 * dist) <= NEAR_FIELD_THRESHOLD:
+    if _separation(h_s, h_t, dist) <= NEAR_FIELD_THRESHOLD:
         return far_history_sum(beta, (a_t, b_t), [(a_s, b_s)], c[None, :])
     s0 = (a_t - a_s) / h_s
     s1 = max((a_t - b_s) / h_s, 0.0)
     rho = h_t / h_s
     return h_t * h_s**beta * _near_history(beta, c, s0, s1, rho)
+
+
+def _element_history(beta: float, nodes: np.ndarray, coeffs: np.ndarray, j: int) -> np.ndarray:
+    """History moments on element j of I^beta applied to elements 0..j-1.
+
+    ``coeffs`` holds modal coefficient rows (at least j of them) on the mesh
+    given by ``nodes``.  Well separated sources go through one batched
+    far_history_sum call, the rest through history_contribution one by one.
+    """
+    widths = np.diff(nodes[: j + 2])
+    centers = 0.5 * (nodes[: j + 1] + nodes[1 : j + 2])
+    target = nodes[j : j + 2]
+    far = _separation(widths[:j], widths[j], centers[j] - centers[:j]) <= NEAR_FIELD_THRESHOLD
+    history = np.zeros(coeffs.shape[-1])
+    if np.any(far):
+        idx = np.nonzero(far)[0]
+        src = np.column_stack([nodes[idx], nodes[idx + 1]])
+        history = history + far_history_sum(beta, target, src, coeffs[idx])
+    for i in np.nonzero(~far)[0]:
+        history = history + history_contribution(beta, coeffs[i], nodes[i : i + 2], target)
+    return history
 
 
 def frac_pairing(beta: float, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -341,11 +370,7 @@ def frac_pairing(beta: float, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -
     mloc = local_frac_matrix(beta, kp1 - 1)
     total = 0.0
     for j in range(n):
-        acc = h[j] ** (1.0 + beta) * (mloc @ u[j])
-        for i in range(j):
-            acc = acc + history_contribution(
-                beta, u[i], (nodes[i], nodes[i + 1]), (nodes[j], nodes[j + 1])
-            )
+        acc = h[j] ** (1.0 + beta) * (mloc @ u[j]) + _element_history(beta, nodes, u, j)
         total += float(v[j] @ acc)
     return total
 
@@ -373,11 +398,13 @@ def _conv_eval(nu: float, nodes: np.ndarray, coeffs: np.ndarray, t: float, diffe
         total += h_j**nu * float(np.sum(b * cfi * sigma**gam))
 
     ls = np.arange(MULTIPOLE_TERMS + 1, dtype=float)
+    bnm = _far_kernel_table(nu)[:, 0]  # binom(nu-1, l)
+    p = _p_table(ks)
     for i in range(j_cur):
         a_i, b_i = nodes[i], nodes[i + 1]
         h_i = b_i - a_i
         dist = t - 0.5 * (a_i + b_i)
-        b_ratio = h_i / (2.0 * dist)
+        b_ratio = _separation(h_i, 0.0, dist)  # t is a target of width 0
         if b_ratio > NEAR_FIELD_THRESHOLD:
             bb = conv @ coeffs[i]
             e = _monomial_about_end(bb)
@@ -390,12 +417,7 @@ def _conv_eval(nu: float, nodes: np.ndarray, coeffs: np.ndarray, t: float, diffe
             else:
                 total += h_i**nu * float(np.sum(bb * cfi * s0**gam) - np.sum(e * cfi * s1**gam))
         else:
-            v = coeffs[i] @ _p_table(ks)
-            nmax = MULTIPOLE_TERMS
-            bnm = np.empty(nmax + 1)
-            bnm[0] = 1.0
-            for m in range(1, nmax + 1):
-                bnm[m] = bnm[m - 1] * (nu - m) / m
+            v = coeffs[i] @ p
             terms = bnm * (-b_ratio) ** ls * v
             if differentiate:
                 total += (h_i / gamma_fn(nu)) * dist ** (nu - 2.0) * float(np.sum(terms * (nu - 1.0 - ls)))

@@ -349,9 +349,6 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
     p = math.ceil(spec.alpha)
     beta = spec.frac_order
     n = mesh.n
-    nodes = mesh.nodes
-    widths = mesh.widths
-    centers = 0.5 * (nodes[:-1] + nodes[1:])
 
     coeffs = np.zeros((n, nfields, kp1))
     inflow = np.array(spec.initial, dtype=float)
@@ -363,20 +360,10 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
 
     for j in range(n):
         interval = mesh.interval(j)
-        if beta == 0.0 or j == 0:
+        if beta == 0.0:
             history = np.zeros(kp1)
         else:
-            theta = (widths[:j] + widths[j]) / (2.0 * (centers[j] - centers[:j]))
-            far = theta <= fraccalc.NEAR_FIELD_THRESHOLD
-            history = np.zeros(kp1)
-            if np.any(far):
-                idx = np.nonzero(far)[0]
-                src = np.column_stack([nodes[idx], nodes[idx + 1]])
-                history = history + fraccalc.far_history_sum(beta, interval, src, coeffs[idx, p, :])
-            for i in np.nonzero(~far)[0]:
-                history = history + fraccalc.history_contribution(
-                    beta, coeffs[i, p, :], mesh.interval(i), interval
-                )
+            history = fraccalc._element_history(beta, mesh.nodes, coeffs[:, p, :], j)
 
         op = _ElementOperator(spec, mesh, j, history, inflow, options)
         if spec.linear:

@@ -32,14 +32,11 @@ __all__ = [
     "gauss_legendre",
     "gauss_jacobi",
     "legendre_table",
-    "legendre_deriv_table",
     "mass_matrix",
     "stiffness_matrix",
     "legendre_to_monomial",
     "project",
     "eval_poly",
-    "eval_downwind",
-    "eval_upwind",
 ]
 
 #: Largest supported polynomial degree.  The closed-form Gamma arithmetic in
@@ -118,21 +115,6 @@ def legendre_table(k: int, xi: np.ndarray) -> np.ndarray:
     for p in range(1, k):
         out[:, p + 1] = ((2 * p + 1) * y * out[:, p] - p * out[:, p - 1]) / (p + 1)
     return out
-
-
-def legendre_deriv_table(k: int, xi: np.ndarray) -> np.ndarray:
-    """Derivatives d phi_p / d xi at the given points, shape (len(xi), k+1)."""
-    k = _check_degree(k)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    vals = legendre_table(k, xi)
-    y = 2.0 * xi - 1.0
-    dP = np.zeros((xi.size, k + 1))
-    if k >= 1:
-        dP[:, 1] = 1.0
-    for p in range(1, k):
-        # P'_{p+1} = P'_{p-1} + (2p+1) P_p   (in the variable y)
-        dP[:, p + 1] = dP[:, p - 1] + (2 * p + 1) * vals[:, p]
-    return 2.0 * dP  # chain rule d/dxi = 2 d/dy
 
 
 @lru_cache(maxsize=None)
@@ -220,14 +202,3 @@ def eval_poly(coeffs: np.ndarray, interval: Sequence[float], t) -> np.ndarray | 
     vals = legendre_table(k, xi) @ coeffs
     return vals if np.ndim(t) else float(vals[0])
 
-
-def eval_downwind(coeffs: np.ndarray) -> float:
-    """Trace at the right element endpoint: sum of the modal coefficients."""
-    return float(np.sum(np.asarray(coeffs, dtype=float), axis=-1))
-
-
-def eval_upwind(coeffs: np.ndarray) -> float:
-    """Trace at the left element endpoint: alternating sum of coefficients."""
-    c = np.asarray(coeffs, dtype=float)
-    signs = (-1.0) ** np.arange(c.shape[-1])
-    return float(np.sum(c * signs, axis=-1))

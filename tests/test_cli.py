@@ -67,6 +67,22 @@ def test_study_report_layout_and_rates():
     assert report.wall_time > 0.0
 
 
+def test_study_downwind_flag_is_one_sided(monkeypatch):
+    # the paper's downwind order is a floor: L1Prime at alpha=0.3, k=2
+    # measures ~4.7 against an expected 4 and must not be flagged
+    spec = builtin_problem("L1Prime", 0.3)
+    ns = [8, 16, 32, 64]
+    report = run_convergence_study(spec, 2, ns)
+    assert report.expected_dw == 4.0
+    assert report.rate_dw_ls > report.expected_dw + 0.4
+    assert not any("downwind" in f for f in report.flags)
+    # a rate that falls short of its target is still flagged
+    target = report.rate_dw_ls + 1.0
+    monkeypatch.setattr(cli, "expected_rates", lambda alpha, m, k: (3.0, target))
+    short = run_convergence_study(spec, 2, ns)
+    assert any(f.startswith("downwind rate") for f in short.flags)
+
+
 def test_study_csv_is_deterministic_and_well_formed():
     spec = builtin_problem("L1", 0.3)
     a = run_convergence_study(spec, 1, [8, 16, 32]).to_csv()

@@ -278,6 +278,31 @@ def test_frac_pairing_time_reflection_adjoint():
         np.testing.assert_allclose(lhs, rhs, rtol=1e-11)
 
 
+def test_frac_pairing_matches_pairwise_history():
+    # graded nodes (j/24)^2 give far-field pairs of unequal widths next to
+    # near-field ones, so the batched far sum is checked in both regimes
+    rng = np.random.default_rng(37)
+    n, k = 24, 3
+    nodes = (np.arange(n + 1) / n) ** 2
+    u = rng.standard_normal((n, k + 1))
+    v = rng.standard_normal((n, k + 1))
+    h = np.diff(nodes)
+    centers = 0.5 * (nodes[:-1] + nodes[1:])
+    far = [(h[i] + h[j]) / (2.0 * (centers[j] - centers[i])) <= fc.NEAR_FIELD_THRESHOLD
+           for j in range(n) for i in range(j)]
+    assert 0 < sum(far) < len(far)
+    for beta in (0.3, 0.75):
+        mloc = fc.local_frac_matrix(beta, k)
+        ref = 0.0
+        for j in range(n):
+            acc = h[j] ** (1.0 + beta) * (mloc @ u[j])
+            for i in range(j):
+                acc = acc + fc.history_contribution(
+                    beta, u[i], (nodes[i], nodes[i + 1]), (nodes[j], nodes[j + 1]))
+            ref += float(v[j] @ acc)
+        np.testing.assert_allclose(fc.frac_pairing(beta, nodes, u, v), ref, rtol=1e-13)
+
+
 def test_oracle_same_interval_hand_value():
     # [DERIVED] beta=0.5, p=q=1 on [0,1]:
     # int_0^1 I^0.5[1](t) dt = int_0^1 t^0.5/Gamma(1.5) dt = 2/(3*Gamma(1.5))

