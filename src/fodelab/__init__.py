@@ -31,7 +31,6 @@ from .ldgsolver import (
     EnergyReport,
     SolveOptions,
     SolverError,
-    assemble_element,
     downwind_errors,
     energy_diagnostic,
     l2_error,
@@ -96,7 +95,6 @@ __all__ = [
     "EnergyReport",
     "SolveOptions",
     "SolverError",
-    "assemble_element",
     "downwind_errors",
     "energy_diagnostic",
     "l2_error",

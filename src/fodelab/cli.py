@@ -12,8 +12,8 @@ failure.
 
 Convergence CSVs are deterministic byte for byte (fixed column set, '%.17g'
 formatting, LF line endings, ordered row assembly); wall time and other
-run metadata go to the JSON mirror only.  FODELAB_THREADS caps how many
-study rows run concurrently.
+run metadata go to the JSON mirror only.  ``converge --threads`` sets how
+many study rows run concurrently (default 1).
 """
 from __future__ import annotations
 
@@ -166,24 +166,17 @@ def _study_row(spec, k: int, n: int, options: SolveOptions):
     return float(errs[-1]), float(np.max(errs)), l2_error(sol, spec.exact)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("FODELAB_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
-
-
 def run_convergence_study(
     spec,
     k: int,
     n_list,
     rate_tol: float = 0.4,
-    threads: int | None = None,
+    threads: int = 1,
     options: SolveOptions | None = None,
 ) -> ConvergenceReport:
     """Mesh-refinement study for one (problem, k): errors, rates, flags.
 
-    Rows run concurrently up to the thread cap but are assembled in input
+    Rows run on up to ``threads`` threads but are assembled in input
     order, so the report is deterministic.  A solver failure marks its row
     and the study continues with the remaining levels.  The L2 rate is
     flagged when it lies more than ``rate_tol`` from k+1 either way; the
@@ -205,7 +198,7 @@ def run_convergence_study(
         except SolverError as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
         outcomes = list(pool.map(attempt, n_list))
 
     rows: list[StudyRow] = []
@@ -486,8 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-tol", type=float, default=0.4,
                    help="deviation from the expected L2 rate, or shortfall below the "
                         "expected downwind rate, that raises a flag")
-    p.add_argument("--threads", type=int, default=None,
-                   help="row parallelism (default: FODELAB_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="row parallelism (default: 1)")
     p.set_defaults(handler=cmd_converge)
 
     p = sub.add_parser("mlf", help="tabulate a Mittag-Leffler curve")

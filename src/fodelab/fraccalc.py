@@ -44,6 +44,7 @@ from scipy.special import gammaln, hyp2f1, rgamma
 
 from .polybasis import (
     MAX_DEGREE,
+    _check_degree,
     gauss_jacobi,
     gauss_legendre,
     legendre_table,
@@ -139,9 +140,7 @@ def local_frac_matrix(beta: float, k: int) -> np.ndarray:
     On a physical element of width h the block scales by h**(1+beta).
     """
     beta = _check_beta(beta)
-    if not 0 <= k <= MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {k}")
-    return _local_frac_matrix_cached(beta, int(k))
+    return _local_frac_matrix_cached(beta, _check_degree(k))
 
 
 def _monomial_about_end(b: np.ndarray) -> np.ndarray:

@@ -18,14 +18,14 @@ the same code path handles it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import fraccalc
 from .polybasis import (
-    MAX_DEGREE,
+    _check_degree,
     gauss_legendre,
     legendre_table,
     mass_matrix,
@@ -35,18 +35,14 @@ from .problem import Mesh, PiecewisePoly, ProblemSpec
 
 __all__ = [
     "SolveOptions",
-    "LocalSystem",
     "SolverError",
     "EnergyReport",
-    "assemble_element",
     "newton_solve",
     "march",
     "downwind_errors",
     "l2_error",
     "energy_diagnostic",
 ]
-
-_GUESS_STRATEGIES = ("previous-trace", "extrapolate")
 
 
 class SolverError(RuntimeError):
@@ -57,38 +53,18 @@ class SolverError(RuntimeError):
 class SolveOptions:
     """Discretization and local-solver parameters.
 
-    quad_order_rhs defaults to k+3 Gauss points for the forcing moments.
-    guess_strategy picks the Newton start: "previous-trace" uses the inflow
-    value as a constant, "extrapolate" continues the previous element's
-    polynomial across the node and refits it.
+    Newton starts every element from its inflow values held constant.
     """
 
     k: int = 1
     newton_tol: float = 1e-12
     newton_max_iter: int = 25
-    guess_strategy: str = "previous-trace"
-    quad_order_rhs: int | None = None
     log_condition: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.k <= MAX_DEGREE:
-            raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {self.k}")
-        if self.guess_strategy not in _GUESS_STRATEGIES:
-            raise ValueError(f"guess_strategy must be one of {_GUESS_STRATEGIES}")
-        if self.newton_max_iter < 1 or self.newton_tol <= 0:
+        _check_degree(self.k)
+        if self.newton_max_iter < 1 or not self.newton_tol > 0:
             raise ValueError("newton_max_iter must be >= 1 and newton_tol > 0")
-
-    @property
-    def rhs_order(self) -> int:
-        return self.quad_order_rhs if self.quad_order_rhs is not None else self.k + 3
-
-
-@dataclass(frozen=True)
-class LocalSystem:
-    """One element's linear(ized) system  matrix @ y = rhs  over stacked fields."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,13 +128,6 @@ def _quad_context(interval, k: int, order: int):
     return t, w, legendre_table(k, (t - a) / h)
 
 
-def _moment_matrix(coeff: Callable, interval, k: int, order: int) -> np.ndarray:
-    """Matrix of int c(t) phi_p phi_q dt over the element."""
-    t, w, tab = _quad_context(interval, k, order)
-    wc = w * np.asarray(coeff(t), dtype=float)
-    return tab.T @ (wc[:, None] * tab)
-
-
 class _ElementOperator:
     """Residual/Jacobian of one element's local system.
 
@@ -178,9 +147,10 @@ class _ElementOperator:
         beta = spec.frac_order
 
         self.spec = spec
-        self.nfields = nfields
         self.kp1 = kp1
         self.size = nfields * kp1
+        # forcing and damping moments use k+3 Gauss points (more near t = 0)
+        t, w, tab = _quad_context(interval, k, k + 3)
 
         z = (-1.0) ** np.arange(kp1)
         chain_own = stiffness_matrix(k) - np.ones((kp1, kp1))
@@ -204,13 +174,14 @@ class _ElementOperator:
         base[rf, cp] += memory
         if spec.m >= 1:
             cm = slice(spec.m * kp1, (spec.m + 1) * kp1)
-            base[rf, cm] += _moment_matrix(spec.d, interval, k, options.rhs_order)
+            wd = w * np.asarray(spec.d(t), dtype=float)
+            base[rf, cm] += tab.T @ (wd[:, None] * tab)
         rhs[rf] -= history
 
         self.base = base
         self.base_rhs = rhs
         self.rf = rf
-        self.t_quad, self.w_quad, self.tab_quad = _quad_context(interval, k, options.rhs_order)
+        self.t_quad, self.w_quad, self.tab_quad = t, w, tab
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         c0 = y[: self.kp1]
@@ -232,34 +203,6 @@ class _ElementOperator:
         jac = self.base.copy()
         jac[self.rf, : self.kp1] -= self.tab_quad.T @ ((self.w_quad * slope)[:, None] * self.tab_quad)
         return jac
-
-
-def assemble_element(
-    spec: ProblemSpec,
-    mesh: Mesh,
-    j: int,
-    history: np.ndarray,
-    inflow: np.ndarray,
-    options: SolveOptions,
-    linearize_at: np.ndarray | None = None,
-) -> LocalSystem:
-    """The element-local system matrix and right-hand side.
-
-    For linear problems the returned system determines the element's
-    coefficients directly.  For nonlinear ones pass ``linearize_at``; the
-    result is the Newton update system J(y0) y = J(y0) y0 - R(y0).
-    """
-    op = _ElementOperator(spec, mesh, j, np.asarray(history, dtype=float),
-                          np.asarray(inflow, dtype=float), options)
-    if linearize_at is None:
-        y0 = np.zeros(op.size)
-        if not spec.linear:
-            raise ValueError("nonlinear problems need an explicit linearization point")
-    else:
-        y0 = np.asarray(linearize_at, dtype=float)
-    jac = op.jacobian(y0)
-    rhs = jac @ y0 - op.residual(y0)
-    return LocalSystem(matrix=jac, rhs=rhs)
 
 
 def _equilibrated_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -312,28 +255,6 @@ def newton_solve(op, guess: np.ndarray, options: SolveOptions) -> tuple[np.ndarr
     )
 
 
-def _initial_guess(op, prev_coeffs, prev_interval, interval, prev_down, options) -> np.ndarray:
-    kp1 = op.kp1
-    y = np.zeros(op.size)
-    if options.guess_strategy == "extrapolate" and prev_coeffs is not None:
-        # continue each field's polynomial across the node and refit exactly
-        a0, b0 = prev_interval
-        a1, b1 = interval
-        rule = gauss_legendre(kp1 + 1)
-        t = a1 + (b1 - a1) * rule.nodes
-        xi_prev = (t - a0) / (b0 - a0)
-        tab_prev = legendre_table(kp1 - 1, xi_prev)
-        tab_here = legendre_table(kp1 - 1, rule.nodes)
-        weights = (2.0 * np.arange(kp1) + 1.0)
-        for i in range(op.nfields):
-            vals = tab_prev @ prev_coeffs[i]
-            y[i * kp1:(i + 1) * kp1] = weights * (tab_here.T @ (rule.weights * vals))
-    else:
-        for i in range(op.nfields):
-            y[i * kp1] = prev_down[i]
-    return y
-
-
 def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) -> PiecewisePoly:
     """Solve the problem by one sweep over the mesh.
 
@@ -371,11 +292,8 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
             y = _equilibrated_solve(op.jacobian(zero), -op.residual(zero))
             iters = 0
         else:
-            guess = _initial_guess(
-                op, coeffs[j - 1] if j > 0 else None,
-                mesh.interval(j - 1) if j > 0 else None,
-                interval, prev_down, options,
-            )
+            guess = np.zeros(op.size)
+            guess[::kp1] = prev_down
             try:
                 y, iters = newton_solve(op, guess, options)
             except SolverError as exc:

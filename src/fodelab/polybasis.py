@@ -63,8 +63,12 @@ def _check_degree(k: int) -> int:
     return int(k)
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadRule:
-    """Gauss-Legendre rule with ``n`` points on [0, 1] (exact to degree 2n-1)."""
+    """Gauss-Legendre rule with ``n`` points on [0, 1] (exact to degree 2n-1).
+
+    Rules are cached per ``n``; their arrays are read-only.
+    """
     if n < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
     x, w = leggauss(int(n))
@@ -103,7 +107,7 @@ def legendre_table(k: int, xi: np.ndarray) -> np.ndarray:
     """Values phi_p(xi) for p = 0..k; returns an array of shape (len(xi), k+1).
 
     The three-term recurrence is evaluated in y = 2 xi - 1 and remains valid
-    for arguments outside [0, 1] (used when extrapolating a Newton guess).
+    for arguments outside [0, 1].
     """
     k = _check_degree(k)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))

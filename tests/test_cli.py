@@ -101,15 +101,11 @@ def test_study_csv_is_deterministic_and_well_formed():
     assert float(cells[5]) == row.err_l2
 
 
-def test_study_threads_do_not_change_bytes(monkeypatch):
+def test_study_threads_do_not_change_bytes():
     spec = builtin_problem("N1", 0.5)
     serial = run_convergence_study(spec, 1, [8, 16, 32], threads=1).to_csv()
     parallel = run_convergence_study(spec, 1, [8, 16, 32], threads=3).to_csv()
     assert serial == parallel
-    monkeypatch.setenv("FODELAB_THREADS", "4")
-    assert cli._thread_count(None) == 4
-    monkeypatch.delenv("FODELAB_THREADS")
-    assert cli._thread_count(None) == 1
 
 
 def test_study_marks_solver_failures_but_continues():

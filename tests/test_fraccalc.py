@@ -39,6 +39,8 @@ def test_local_frac_matrix_constant_mode():
     for beta in (0.1, 0.3, 0.9, 1.0):
         m = fc.local_frac_matrix(beta, 3)
         np.testing.assert_allclose(m[0, 0], 1.0 / math.gamma(beta + 2.0), rtol=1e-14)
+    with pytest.raises(ValueError):
+        fc.local_frac_matrix(0.5, 2.5)
 
 
 def test_local_frac_matrix_beta_one_is_single_integral():

@@ -10,7 +10,7 @@ from fodelab.ldgsolver import (
     EnergyReport,
     SolveOptions,
     SolverError,
-    assemble_element,
+    _ElementOperator,
     downwind_errors,
     energy_diagnostic,
     l2_error,
@@ -30,11 +30,11 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(k=9)
     with pytest.raises(ValueError):
-        SolveOptions(guess_strategy="warmstart")
+        SolveOptions(k=2.5)
     with pytest.raises(ValueError):
         SolveOptions(newton_max_iter=0)
-    assert SolveOptions(k=2).rhs_order == 5
-    assert SolveOptions(k=2, quad_order_rhs=9).rhs_order == 9
+    with pytest.raises(ValueError):
+        SolveOptions(newton_tol=float("nan"))
 
 
 def _poly_problem_alpha1() -> ProblemSpec:
@@ -116,19 +116,11 @@ def test_assembled_residual_consistency():
                 )
             inflow = np.array([spec.exact(mesh.nodes[j])])
             y = fields[j].ravel()
-            system = assemble_element(spec, mesh, j, history, inflow, options,
-                                      linearize_at=y)
-            res_max = max(res_max, float(np.max(np.abs(system.matrix @ y - system.rhs))))
+            residual = _ElementOperator(spec, mesh, j, history, inflow, options).residual(y)
+            res_max = max(res_max, float(np.max(np.abs(residual))))
         worst[n] = res_max
     assert worst[8] < worst[4]
     assert worst[4] / worst[8] > 2.0 ** options.k
-
-
-def test_assemble_element_requires_linearization_point_for_nonlinear():
-    spec = builtin_problem("N1", 0.5)
-    mesh = build_mesh(4, spec.horizon)
-    with pytest.raises(ValueError):
-        assemble_element(spec, mesh, 0, np.zeros(2), np.array([1.0]), SolveOptions(k=1))
 
 
 def test_l1_error_decay():
@@ -151,14 +143,6 @@ def test_nonlinear_march_newton_behaviour():
     assert sol.info["newton_max_iters"] <= 8
     assert sol.info["newton_total_iters"] >= sol.info["elements"]
     assert np.max(downwind_errors(sol, spec.exact)) < 1e-4
-
-
-def test_guess_strategies_reach_same_solution():
-    spec = builtin_problem("N1", 0.5)
-    mesh = build_mesh(12, spec.horizon)
-    sol_a = march(spec, mesh, SolveOptions(k=2, guess_strategy="previous-trace"))
-    sol_b = march(spec, mesh, SolveOptions(k=2, guess_strategy="extrapolate"))
-    np.testing.assert_allclose(sol_a.coeffs, sol_b.coeffs, atol=1e-9)
 
 
 def test_multi_term_high_order_field_layout():

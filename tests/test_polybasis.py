@@ -11,6 +11,7 @@ def test_gauss_legendre_weights_sum_to_one():
         assert rule.nodes.shape == (n,)
         np.testing.assert_allclose(rule.weights.sum(), 1.0, rtol=1e-14)
         assert np.all(rule.nodes > 0) and np.all(rule.nodes < 1)
+        assert pb.gauss_legendre(n) is rule and not rule.weights.flags.writeable
 
 
 def test_gauss_legendre_polynomial_exactness():
