@@ -13,8 +13,11 @@ Both are computed in closed form:
 * same element: ``h**(1+beta) * local_frac_matrix(beta, k)`` acting on the
   modal coefficients,
 * history: power-rule expansions through the Gauss hypergeometric function
-  for nearby source elements, and a binomial multipole series in
-  element-size over center-distance for well separated ones.
+  for nearby source elements (the whole (k+1)x(k+1) moment matrix of a
+  source endpoint in one ``hyp2f1`` array call), and a binomial multipole
+  series in element-size over center-distance for well separated ones
+  (the alternating sign of the source ratio is folded into the cached
+  kernel table, so only positive ratios are raised to powers).
 
 The near/far switch is ``(h_src + h_tgt) / (2 * center_distance) <= 0.35``;
 at that threshold the 40-term multipole tail is below 1e-17 relative, while
@@ -143,43 +146,42 @@ def local_frac_matrix(beta: float, k: int) -> np.ndarray:
     return _local_frac_matrix_cached(beta, _check_degree(k))
 
 
+@lru_cache(maxsize=None)
+def _end_shift(k: int) -> np.ndarray:
+    """S[n, m] = C(n, m), so that xi**n = sum_m S[n, m] (xi-1)**m."""
+    s = np.array([[comb(n, m) for m in range(k + 1)] for n in range(k + 1)], dtype=float)
+    s.flags.writeable = False
+    return s
+
+
 def _monomial_about_end(b: np.ndarray) -> np.ndarray:
-    """Re-expand sum b_n xi**n as sum e_m (xi-1)**m; returns e."""
-    k = b.size - 1
-    shift = np.zeros((k + 1, k + 1))
-    for n in range(k + 1):
-        for m in range(n + 1):
-            shift[m, n] = comb(n, m)
-    return shift @ b
+    """Re-expand sum b_n xi**n as sum e_m (xi-1)**m along the last axis; returns e."""
+    return b @ _end_shift(b.shape[-1] - 1)
 
 
-def _falling(gamma: float, q: int) -> float:
-    out = 1.0
-    for i in range(q):
-        out *= gamma - i
-    return out
-
-
-def _phi_power_moment(q: int, gamma: float, c0: float, c1: float) -> float:
-    """T = int_0^1 phi_q(xi) (c0 + c1*xi)**gamma dxi  for c0 >= 0, c1 > 0.
+def _phi_power_moments(k: int, gammas, c0: float, c1: float) -> np.ndarray:
+    """T[q, j] = int_0^1 phi_q(xi) (c0 + c1*xi)**gammas[j] dxi, q = 0..k, for c0 >= 0, c1 > 0.
 
     For c0 = 0 this is c1**gamma times a Gamma-function ratio.  For c0 > 0,
     q-fold integration by parts against the Rodrigues form of phi_q plus the
     Euler integral give a single Gauss hypergeometric value; a Pfaff
     transformation moves the argument to w = c1/(c0+c1) in (0, 1), where the
-    series has all-positive terms (no cancellation).
+    series has all-positive terms (no cancellation).  The whole matrix takes
+    one hyp2f1 call.
     """
+    g = np.asarray(gammas, dtype=float)
     if c0 <= 1e-14 * c1:
         # exactly zero in practice (shared mesh node); dropping a genuinely
         # tiny offset perturbs the value by <= gamma*c0/c1 relative
-        return float(c1**gamma * _g_moments(q, np.array([gamma]))[q, 0])
-    ff = _falling(gamma, q)
-    if ff == 0.0:
-        return 0.0
+        return c1**g * _g_moments(k, g)
+    q = np.arange(k + 1, dtype=float)[:, None]
+    # falling factorial gamma (gamma-1) ... (gamma-q+1), exactly 0 for integer gamma < q
+    ff = np.cumprod(np.vstack([np.ones_like(g), g - q[:-1]]), axis=0)
     w = c1 / (c0 + c1)
-    f = hyp2f1(q + 1.0, q + gamma + 2.0, 2.0 * q + 2.0, w)
-    pref = ff * c1**q * factorial(q) / factorial(2 * q + 1)
-    return float(pref * c0 ** (gamma - q) * (1.0 - w) ** (q + 1) * f)
+    f = hyp2f1(q + 1.0, q + g + 2.0, 2.0 * q + 2.0, w)
+    fact = np.array([factorial(i) for i in range(2 * k + 2)], dtype=float)[:, None]
+    pref = ff * c1**q * fact[: k + 1] / fact[1::2]  # q!/(2q+1)! from exact factorials
+    return pref * c0 ** (g - q) * (1.0 - w) ** (q + 1) * f
 
 
 def _near_history(beta: float, coeffs: np.ndarray, s0: float, s1: float, rho: float) -> np.ndarray:
@@ -192,16 +194,10 @@ def _near_history(beta: float, coeffs: np.ndarray, s0: float, s1: float, rho: fl
     """
     k = coeffs.size - 1
     b = legendre_to_monomial(k) @ coeffs
-    e = _monomial_about_end(b)
     cfi = frac_int_power_coeff(beta, np.arange(k + 1))
     gam = np.arange(k + 1) + beta
-    t_start = np.empty((k + 1, k + 1))
-    t_end = np.empty((k + 1, k + 1))
-    for q in range(k + 1):
-        for n in range(k + 1):
-            t_start[q, n] = _phi_power_moment(q, gam[n], s0, rho)
-            t_end[q, n] = _phi_power_moment(q, gam[n], s1, rho)
-    return t_start @ (b * cfi) - t_end @ (e * cfi)
+    return (_phi_power_moments(k, gam, s0, rho) @ (b * cfi)
+            - _phi_power_moments(k, gam, s1, rho) @ (_monomial_about_end(b) * cfi))
 
 
 def _separation(h_src, h_tgt, dist):
@@ -225,7 +221,13 @@ def _p_table(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _far_kernel_table(beta: float) -> np.ndarray:
-    """K[l, m] = binom(beta-1, l+m) * C(l+m, l), zero past total order 40."""
+    """K[l, m] = (-1)**m * binom(beta-1, l+m) * C(l+m, l), zero past total order 40.
+
+    The sign (-1)**m belongs to the source ratio, (-h_src / (2 dist))**m;
+    folding it in here lets the callers raise a positive ratio to integer
+    powers, which numpy does far faster than a negative one.  Row 0 holds
+    the point-target series (-1)**m binom(beta-1, m).
+    """
     nmax = MULTIPOLE_TERMS
     bnm = np.empty(nmax + 1)
     bnm[0] = 1.0
@@ -234,7 +236,7 @@ def _far_kernel_table(beta: float) -> np.ndarray:
     tab = np.zeros((nmax + 1, nmax + 1))
     for l in range(nmax + 1):
         for m in range(nmax + 1 - l):
-            tab[l, m] = bnm[l + m] * comb(l + m, l)
+            tab[l, m] = (-1) ** m * bnm[l + m] * comb(l + m, l)
     tab.flags.writeable = False
     return tab
 
@@ -281,7 +283,7 @@ def far_history_sum(
     v = c @ p  # (nsrc, L+1) source moments against (2*sigma-1)**m
     w_src = dist ** (beta - 1.0) * h_s
     apow = a_ratio[None, :] ** ls[:, None]                      # (L+1, nsrc)
-    bv = ((-b_ratio[None, :]) ** ls[:, None]) * v.T * w_src     # (L+1, nsrc)
+    bv = (b_ratio[None, :] ** ls[:, None]) * v.T * w_src        # (L+1, nsrc)
     g = apow @ bv.T                                             # (L+1, L+1)
     s = (_far_kernel_table(beta) * g).sum(axis=1)
     return (h_t / gamma_fn(beta)) * (p @ s)
@@ -380,49 +382,36 @@ def _conv_eval(nu: float, nodes: np.ndarray, coeffs: np.ndarray, t: float, diffe
     n = nodes.size - 1
     if not nodes[0] < t <= nodes[-1] * (1 + 1e-12) + 1e-300:
         raise ValueError(f"evaluation time must lie in ({nodes[0]}, {nodes[-1]}], got {t}")
-    j_cur = min(max(int(np.searchsorted(nodes, t, side="left")) - 1, 0), n - 1)
+    j = min(max(int(np.searchsorted(nodes, t, side="left")) - 1, 0), n - 1)
     ks = coeffs.shape[1] - 1
-    conv = legendre_to_monomial(ks)
+    ls = np.arange(MULTIPOLE_TERMS + 1)
     cfi = frac_int_power_coeff(nu, np.arange(ks + 1))
     gam = np.arange(ks + 1) + nu
-    total = 0.0
-
-    # element containing t (sigma in (0, 1])
-    a_j, h_j = nodes[j_cur], nodes[j_cur + 1] - nodes[j_cur]
-    sigma = (t - a_j) / h_j
-    b = conv @ coeffs[j_cur]
+    pw, fl = nu, 1.0
     if differentiate:
-        total += h_j ** (nu - 1.0) * float(np.sum(b * cfi * gam * sigma ** (gam - 1.0)))
-    else:
-        total += h_j**nu * float(np.sum(b * cfi * sigma**gam))
+        # d/dt (t-a)**g = g (t-a)**(g-1) and d/dt dist**(nu-1-l) = (nu-1-l) dist**(nu-2-l)
+        cfi, gam, pw, fl = cfi * gam, gam - 1.0, nu - 1.0, nu - 1.0 - ls
+    a, b = nodes[: j + 1], nodes[1 : j + 2]
+    h = b - a
+    dist = t - 0.5 * (a + b)
+    ratio = _separation(h[:j], 0.0, dist[:j])  # t is a target of width 0
+    # the element containing t joins the near sources, its part past t cut off
+    near = np.append(ratio > NEAR_FIELD_THRESHOLD, True)
 
-    ls = np.arange(MULTIPOLE_TERMS + 1, dtype=float)
-    bnm = _far_kernel_table(nu)[:, 0]  # binom(nu-1, l)
-    p = _p_table(ks)
-    for i in range(j_cur):
-        a_i, b_i = nodes[i], nodes[i + 1]
-        h_i = b_i - a_i
-        dist = t - 0.5 * (a_i + b_i)
-        b_ratio = _separation(h_i, 0.0, dist)  # t is a target of width 0
-        if b_ratio > NEAR_FIELD_THRESHOLD:
-            bb = conv @ coeffs[i]
-            e = _monomial_about_end(bb)
-            s0 = (t - a_i) / h_i
-            s1 = (t - b_i) / h_i
-            if differentiate:
-                total += h_i ** (nu - 1.0) * float(
-                    np.sum(bb * cfi * gam * s0 ** (gam - 1.0)) - np.sum(e * cfi * gam * s1 ** (gam - 1.0))
-                )
-            else:
-                total += h_i**nu * float(np.sum(bb * cfi * s0**gam) - np.sum(e * cfi * s1**gam))
-        else:
-            v = coeffs[i] @ p
-            terms = bnm * (-b_ratio) ** ls * v
-            if differentiate:
-                total += (h_i / gamma_fn(nu)) * dist ** (nu - 2.0) * float(np.sum(terms * (nu - 1.0 - ls)))
-            else:
-                total += (h_i / gamma_fn(nu)) * dist ** (nu - 1.0) * float(np.sum(terms))
-    return total
+    # near sources: power rule about the left endpoint minus, for every
+    # source but the last, the same about the right endpoint
+    hn = h[near]
+    mono = coeffs[: j + 1][near] @ legendre_to_monomial(ks).T
+    s0 = ((t - a[near]) / hn)[:, None]
+    s1 = ((t - b[near][:-1]) / hn[:-1])[:, None]
+    per_src = (mono * cfi * s0**gam).sum(axis=1)
+    per_src[:-1] -= (_monomial_about_end(mono[:-1]) * cfi * s1**gam).sum(axis=1)
+    total = float(np.sum(hn**pw * per_src))
+
+    # far sources: multipole series in the positive ratio, sign folded into the table
+    far = np.nonzero(~near)[0]
+    terms = _far_kernel_table(nu)[0] * ratio[far, None] ** ls * (coeffs[far] @ _p_table(ks)) * fl
+    return total + float(np.sum(h[far] * dist[far] ** (pw - 1.0) * terms.sum(axis=1))) / gamma_fn(nu)
 
 
 def _solution_field(solution, field: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ import numpy as np
 from . import fraccalc
 from .polybasis import (
     _check_degree,
+    _gauss_table,
     gauss_legendre,
     legendre_table,
     mass_matrix,
@@ -63,8 +64,9 @@ class SolveOptions:
 
     def __post_init__(self):
         _check_degree(self.k)
-        if self.newton_max_iter < 1 or not self.newton_tol > 0:
-            raise ValueError("newton_max_iter must be >= 1 and newton_tol > 0")
+        if (not isinstance(self.newton_max_iter, (int, np.integer)) or self.newton_max_iter < 1
+                or not self.newton_tol > 0):
+            raise ValueError("newton_max_iter must be an integer >= 1 and newton_tol > 0")
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ def _quad_context(interval, k: int, order: int):
         width = edges - lo
         t = (lo[:, None] + width[:, None] * rule.nodes).ravel()
         w = (width[:, None] * rule.weights).ravel()
+        return t, w, legendre_table(k, t / h)
     else:
         r = a / h
         if r < 2.0:
@@ -123,9 +126,7 @@ def _quad_context(interval, k: int, order: int):
         else:
             q = order
         rule = gauss_legendre(q)
-        t = a + h * rule.nodes
-        w = h * rule.weights
-    return t, w, legendre_table(k, (t - a) / h)
+        return a + h * rule.nodes, h * rule.weights, _gauss_table(k, q)
 
 
 class _ElementOperator:
@@ -330,7 +331,7 @@ def l2_error(solution: PiecewisePoly, exact: Callable) -> float:
     """Global L2 error of field 0, by per-element Gauss quadrature (order k+5)."""
     k = solution.k
     rule = gauss_legendre(k + 5)
-    tab = legendre_table(k, rule.nodes)
+    tab = _gauss_table(k, k + 5)
     total = 0.0
     for j in range(solution.mesh.n):
         a, b = solution.mesh.interval(j)

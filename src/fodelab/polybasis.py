@@ -122,6 +122,14 @@ def legendre_table(k: int, xi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _gauss_table(k: int, n: int) -> np.ndarray:
+    """legendre_table(k, gauss_legendre(n).nodes), cached per (k, n); read-only."""
+    tab = legendre_table(k, gauss_legendre(n).nodes)
+    tab.flags.writeable = False
+    return tab
+
+
+@lru_cache(maxsize=None)
 def mass_matrix(k: int) -> np.ndarray:
     """Reference mass matrix: diag(1, 1/3, ..., 1/(2k+1))."""
     k = _check_degree(k)

@@ -77,15 +77,40 @@ def test_local_frac_matrix_vs_oracle():
 
 def test_phi_power_moment_hand_values():
     # [DERIVED] int_0^1 (1+xi) dxi = 3/2
-    np.testing.assert_allclose(fc._phi_power_moment(0, 1.0, 1.0, 1.0), 1.5, rtol=1e-14)
+    np.testing.assert_allclose(fc._phi_power_moments(0, [1.0], 1.0, 1.0)[0, 0], 1.5, rtol=1e-14)
     # [DERIVED] int_0^1 (2 xi - 1) sqrt(1+xi) dxi = (6 - 4*sqrt(2))/5
     np.testing.assert_allclose(
-        fc._phi_power_moment(1, 0.5, 1.0, 1.0), (6.0 - 4.0 * math.sqrt(2.0)) / 5.0, rtol=1e-13
+        fc._phi_power_moments(1, [0.5], 1.0, 1.0)[1, 0], (6.0 - 4.0 * math.sqrt(2.0)) / 5.0, rtol=1e-13
     )
     # c0 = 0 branch: int_0^1 xi^0.3 dxi = 1/1.3, scaled by c1^0.3
-    np.testing.assert_allclose(fc._phi_power_moment(0, 0.3, 0.0, 2.0), 2.0**0.3 / 1.3, rtol=1e-14)
+    np.testing.assert_allclose(fc._phi_power_moments(0, [0.3], 0.0, 2.0)[0, 0], 2.0**0.3 / 1.3, rtol=1e-14)
     # integer exponent below q: falling factorial kills it exactly
-    assert fc._phi_power_moment(3, 2.0, 1.0, 1.0) == 0.0
+    assert fc._phi_power_moments(3, [2.0], 1.0, 1.0)[3, 0] == 0.0
+
+
+def test_phi_power_moments_match_quadrature():
+    # entrywise against composite Gauss-Legendre of the definition, graded
+    # dyadically toward xi = 0 where (c0 + c1 xi)**gamma is least smooth
+    rule = pb.gauss_legendre(30)
+    edges = 2.0 ** -np.arange(60.0, -1.0, -1.0)
+    lo = np.concatenate([[0.0], edges[:-1]])
+    xi = (lo[:, None] + (edges - lo)[:, None] * rule.nodes).ravel()
+    wts = ((edges - lo)[:, None] * rule.weights).ravel()
+    for k in (0, 3, 6):
+        tab = pb.legendre_table(k, xi)
+        for beta in (0.3, 1.0):
+            gammas = np.arange(k + 1) + beta
+            for c0 in (0.0, 1e-3, 0.5, 3.0):
+                for c1 in (0.5, 2.0):
+                    got = fc._phi_power_moments(k, gammas, c0, c1)
+                    powers = (c0 + c1 * xi)[:, None] ** gammas
+                    ref = tab.T @ (wts[:, None] * powers)
+                    mag = np.abs(tab).T @ (wts[:, None] * powers)
+                    assert got.shape == (k + 1, k + 1)
+                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * mag.max())
+                    if beta == 1.0 and k >= 3:
+                        # gammas[1] = 2: phi_3 is orthogonal to quadratics
+                        assert np.all(got[3:, 1] == 0.0)
 
 
 def test_history_adjacent_constants():
@@ -236,6 +261,25 @@ def test_rl_derivative_eval_power_exactness():
             for t in (0.1, 0.55, 1.0, 1.99):
                 val = fc.rl_derivative_eval(mu, sol, t)
                 np.testing.assert_allclose(val, coeff * t ** (j - mu), rtol=1e-11)
+
+
+def test_point_evaluation_power_exactness_on_graded_mesh():
+    # 64 elements graded toward t = 0: the near and the far sources of each
+    # evaluation time are both many, so both batched branches carry weight
+    nodes = 2.0 * (np.arange(65) / 64.0) ** 3
+    k = 3
+    times = (0.004, 0.3, 1.1, 1.77, 2.0)
+    for j in (0, 2, 3):
+        sol = _FakeSolution(nodes, _project_global(lambda t: t**j, nodes, k))
+        for beta in (0.3, 0.7, 1.3):
+            coeff = fc.frac_int_power_coeff(beta, j)
+            for t in times:
+                np.testing.assert_allclose(fc.frac_integral_eval(beta, sol, t), coeff * t ** (j + beta), rtol=1e-12)
+        if j >= 2:
+            for mu in (0.3, 0.7):
+                coeff = math.gamma(j + 1.0) / math.gamma(j + 1.0 - mu)
+                for t in times:
+                    np.testing.assert_allclose(fc.rl_derivative_eval(mu, sol, t), coeff * t ** (j - mu), rtol=1e-12)
 
 
 def test_rl_derivative_order_zero_is_identity():

@@ -34,6 +34,8 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(newton_max_iter=0)
     with pytest.raises(ValueError):
+        SolveOptions(k=1, newton_max_iter=2.5)
+    with pytest.raises(ValueError):
         SolveOptions(newton_tol=float("nan"))
 
 
