@@ -37,7 +37,7 @@ from .ldgsolver import (
     march,
     newton_solve,
 )
-from .mittag import MlfQuery, mlf_plot_data, mlf_series, mlf_solve
+from .mittag import MlfQuery, mlf_series, mlf_solve
 from .polybasis import (
     eval_poly,
     gauss_jacobi,
@@ -102,7 +102,6 @@ __all__ = [
     "newton_solve",
     # Mittag-Leffler
     "MlfQuery",
-    "mlf_plot_data",
     "mlf_series",
     "mlf_solve",
 ]

@@ -28,7 +28,7 @@ from .fraccalc import frac_integral_eval, rl_derivative_eval
 from .ldgsolver import SolveOptions, march
 from .problem import build_mesh, linear_model
 
-__all__ = ["MlfQuery", "mlf_series", "mlf_solve", "mlf_plot_data"]
+__all__ = ["MlfQuery", "mlf_series", "mlf_solve"]
 
 _SERIES_RADIUS = 10.0
 _SERIES_BUDGET = 400
@@ -158,25 +158,3 @@ def mlf_solve(query: MlfQuery, times=None) -> tuple[np.ndarray, np.ndarray]:
             values[i] = t ** (1.0 - beta) * frac_integral_eval(beta - 1.0, sol, t)
     return times, values
 
-
-def mlf_plot_data(
-    pairs,
-    t_max: float = 5.0,
-    a_coef: float = -1.0,
-    n: int = 64,
-    k: int = 3,
-    sample_count: int = 101,
-) -> tuple[np.ndarray, dict]:
-    """Curves of E_{alpha,beta}(A t^alpha) for several (alpha, beta) pairs.
-
-    Returns the shared time grid and an ordered mapping from column labels
-    "alpha=..,beta=.." to value arrays, ready to be written as a table.
-    """
-    times = np.linspace(0.0, t_max, sample_count)
-    columns: dict[str, np.ndarray] = {}
-    for alpha, beta in pairs:
-        query = MlfQuery(alpha=float(alpha), beta=float(beta), a_coef=a_coef,
-                         t_max=t_max, sample_count=sample_count, n=n, k=k)
-        _, values = mlf_solve(query, times=times)
-        columns[f"alpha={alpha:g},beta={beta:g}"] = values
-    return times, columns

@@ -79,12 +79,12 @@ def build_mesh(n: int, horizon: float, grading: float = 1.0) -> Mesh:
     which compensates the t**alpha startup singularity of fractional
     problems with non-smooth solutions.
     """
-    if n < 1:
-        raise ValueError(f"need at least one element, got n={n}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if grading < 1.0:
-        raise ValueError(f"grading must be >= 1, got {grading}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer number of elements >= 1, got {n!r}")
+    if not np.isfinite(horizon) or horizon <= 0:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not np.isfinite(grading) or grading < 1.0:
+        raise ValueError(f"grading must be finite and >= 1, got {grading}")
     j = np.arange(n + 1, dtype=float) / n
     return Mesh(horizon * j**grading)
 

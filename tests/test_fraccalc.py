@@ -77,15 +77,15 @@ def test_local_frac_matrix_vs_oracle():
 
 def test_phi_power_moment_hand_values():
     # [DERIVED] int_0^1 (1+xi) dxi = 3/2
-    np.testing.assert_allclose(fc._phi_power_moments(0, [1.0], 1.0, 1.0)[0, 0], 1.5, rtol=1e-14)
+    np.testing.assert_allclose(fc._phi_power_moments(1.0, 0, 1.0, 1.0)[0, 0], 1.5, rtol=1e-14)
     # [DERIVED] int_0^1 (2 xi - 1) sqrt(1+xi) dxi = (6 - 4*sqrt(2))/5
     np.testing.assert_allclose(
-        fc._phi_power_moments(1, [0.5], 1.0, 1.0)[1, 0], (6.0 - 4.0 * math.sqrt(2.0)) / 5.0, rtol=1e-13
+        fc._phi_power_moments(0.5, 1, 1.0, 1.0)[1, 0], (6.0 - 4.0 * math.sqrt(2.0)) / 5.0, rtol=1e-13
     )
     # c0 = 0 branch: int_0^1 xi^0.3 dxi = 1/1.3, scaled by c1^0.3
-    np.testing.assert_allclose(fc._phi_power_moments(0, [0.3], 0.0, 2.0)[0, 0], 2.0**0.3 / 1.3, rtol=1e-14)
+    np.testing.assert_allclose(fc._phi_power_moments(0.3, 0, 0.0, 2.0)[0, 0], 2.0**0.3 / 1.3, rtol=1e-14)
     # integer exponent below q: falling factorial kills it exactly
-    assert fc._phi_power_moments(3, [2.0], 1.0, 1.0)[3, 0] == 0.0
+    assert fc._phi_power_moments(2.0, 3, 1.0, 1.0)[3, 0] == 0.0
 
 
 def test_phi_power_moments_match_quadrature():
@@ -102,7 +102,7 @@ def test_phi_power_moments_match_quadrature():
             gammas = np.arange(k + 1) + beta
             for c0 in (0.0, 1e-3, 0.5, 3.0):
                 for c1 in (0.5, 2.0):
-                    got = fc._phi_power_moments(k, gammas, c0, c1)
+                    got = fc._phi_power_moments(beta, k, c0, c1)
                     powers = (c0 + c1 * xi)[:, None] ** gammas
                     ref = tab.T @ (wts[:, None] * powers)
                     mag = np.abs(tab).T @ (wts[:, None] * powers)
@@ -195,6 +195,40 @@ def test_far_history_sum_matches_pairwise():
         fc.history_contribution(0.6, coeffs[i], (nodes[i], nodes[i + 1]), tgt) for i in range(5)
     )
     np.testing.assert_allclose(batched, single, rtol=1e-13)
+    # unit sources 3 to 2000 widths away, enough of them for every rung of
+    # the order ladder to be used in one call; each source alone gets the
+    # full order
+    dists = np.geomspace(3.0, 2000.0, 400)
+    tgt = (2000.0, 2001.0)
+    srcs = np.column_stack([2000.0 - dists, 2001.0 - dists])
+    theta = 1.0 / dists
+    lower = [0.0] + [bound for _, bound in fc._MULTIPOLE_LADDER[:-1]]
+    for (_, bound), lo in zip(fc._MULTIPOLE_LADDER, lower):
+        assert np.count_nonzero((theta <= bound) & (theta > lo)) >= fc._RUNG_MIN_SOURCES
+    coeffs = rng.standard_normal((400, k + 1))
+    batched = fc.far_history_sum(0.6, tgt, srcs, coeffs)
+    single = sum(fc.far_history_sum(0.6, tgt, srcs[i : i + 1], coeffs[i : i + 1]) for i in range(400))
+    np.testing.assert_allclose(batched, single, rtol=1e-13)
+
+
+def test_far_history_truncation_at_each_rung():
+    # sources just inside each reduced order's theta bound must still match
+    # the oracle as the full order does at the near/far threshold; the one
+    # source is split into enough equal copies for its rung to be used
+    rng = np.random.default_rng(29)
+    k = 3
+    copies = fc._RUNG_MIN_SOURCES
+    for order, bound in fc._MULTIPOLE_LADDER[:-1]:
+        assert order >= 2 * k
+        dist = 1.0 / (0.999 * bound)  # unit source and target: theta = 1/dist
+        src, tgt = (0.0, 1.0), (dist, dist + 1.0)
+        for beta in (0.2, 0.95, 1.5):
+            c = rng.standard_normal(k + 1)
+            got = fc.far_history_sum(beta, tgt, [src] * copies, np.tile(c / copies, (copies, 1)))
+            ref = np.array([
+                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
+            ])
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_far_history_sum_rejects_near_sources():

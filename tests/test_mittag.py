@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fodelab.mittag import MlfQuery, mlf_plot_data, mlf_series, mlf_solve
+from fodelab.mittag import MlfQuery, mlf_series, mlf_solve
 
 
 def test_series_exponential_identity():
@@ -67,6 +67,11 @@ def test_solve_matches_series_beta_one():
     query = MlfQuery(alpha=0.5, beta=1.0, a_coef=-1.0, t_max=1.0, n=64, k=3)
     _, values = mlf_solve(query, times=[1.0])
     assert values[0] == pytest.approx(mlf_series(0.5, 1.0, -1.0, tol=1e-13), abs=1e-6)
+    # on a coarse sample grid: E_{1/2}(-t^(1/2)) starts at 1 and decays monotonically
+    query = MlfQuery(alpha=0.5, beta=1.0, a_coef=-1.0, t_max=2.0, n=32, k=2)
+    _, values = mlf_solve(query, times=np.linspace(0.0, 2.0, 9))
+    assert values[0] == pytest.approx(1.0, rel=1e-13)
+    assert np.all(np.diff(values) <= 1e-8)
 
 
 def test_solve_matches_series_beta_below_one():
@@ -90,13 +95,3 @@ def test_solve_at_zero_returns_limit():
         query = MlfQuery(alpha=0.5, beta=beta, t_max=1.0, n=8, k=1)
         _, values = mlf_solve(query, times=[0.0])
         assert values[0] == pytest.approx(expected, rel=1e-14)
-
-
-def test_plot_data_columns():
-    times, columns = mlf_plot_data([(1.0, 1.0), (0.5, 1.0)], t_max=2.0, n=32, k=2,
-                                   sample_count=9)
-    assert list(columns) == ["alpha=1,beta=1", "alpha=0.5,beta=1"]
-    assert np.max(np.abs(columns["alpha=1,beta=1"] - np.exp(-times))) <= 1e-5
-    for values in columns.values():
-        assert values[0] == pytest.approx(1.0, rel=1e-13)
-        assert np.all(np.diff(values) <= 1e-8)  # monotone decay for A < 0

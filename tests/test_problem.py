@@ -40,6 +40,16 @@ def test_mesh_validation():
         Mesh(np.array([0.0, 0.5, 0.5]))  # strictly increasing
     with pytest.raises(ValueError):
         build_mesh(8, 1.0, grading=0.5)
+    # a fractional element count would give a mesh ending past the horizon
+    for bad in (2.5, 8.0, "8", 0):
+        with pytest.raises(ValueError, match="n must be"):
+            build_mesh(bad, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            build_mesh(8, bad)
+        with pytest.raises(ValueError, match="grading"):
+            build_mesh(8, 1.0, grading=bad)
+    assert build_mesh(np.int64(3), 1.0).nodes[-1] == 1.0
 
 
 def test_field_count_and_initial_validation():
