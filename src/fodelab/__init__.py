@@ -19,10 +19,8 @@ Typical use:
 """
 
 from .fraccalc import (
-    far_history_sum,
     frac_integral_eval,
     frac_pairing,
-    history_contribution,
     local_frac_matrix,
     oracle_frac_entry,
     rl_derivative_eval,
@@ -56,7 +54,6 @@ from .problem import (
     builtin_problem,
     linear_model,
     load_problem_config,
-    project_piecewise,
     verify_forcing,
 )
 
@@ -73,10 +70,8 @@ __all__ = [
     "project",
     "stiffness_matrix",
     # fractional-integral assembly
-    "far_history_sum",
     "frac_integral_eval",
     "frac_pairing",
-    "history_contribution",
     "local_frac_matrix",
     "oracle_frac_entry",
     "rl_derivative_eval",
@@ -89,7 +84,6 @@ __all__ = [
     "builtin_problem",
     "linear_model",
     "load_problem_config",
-    "project_piecewise",
     "verify_forcing",
     # solver
     "EnergyReport",

@@ -109,19 +109,9 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "alpha": self.alpha,
-            "m": self.m,
-            "k": self.k,
-            "rows": [asdict(r) for r in self.rows],
-            "rate_dw_ls": self.rate_dw_ls,
-            "rate_l2_ls": self.rate_l2_ls,
-            "expected_dw": self.expected_dw,
-            "expected_l2": self.expected_l2,
-            "flags": list(self.flags),
-            "wall_time_s": self.wall_time,
-        }
+        out = asdict(self)
+        out["wall_time_s"] = out.pop("wall_time")  # the last field stays last
+        return out
 
 
 def fit_rate(ns, errs, points: int = 3) -> float | None:
@@ -279,11 +269,6 @@ def run_validation(history_trials: int = 2) -> list[tuple[str, float, float, boo
 
     betas = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-    def unit(i, k):
-        e = np.zeros(k + 1)
-        e[i] = 1.0
-        return e
-
     # fractional assembly: local matrix against the quadrature oracle
     err = 0.0
     for beta in betas:
@@ -292,7 +277,7 @@ def run_validation(history_trials: int = 2) -> list[tuple[str, float, float, boo
             scale = np.max(np.abs(local))
             for q in range(k + 1):
                 for p in range(k + 1):
-                    ref = fraccalc.oracle_frac_entry(beta, unit(p, k), unit(q, k),
+                    ref = fraccalc.oracle_frac_entry(beta, np.eye(k + 1)[p], np.eye(k + 1)[q],
                                                      (0.0, 1.0), (0.0, 1.0))
                     err = max(err, abs(local[q, p] - ref) / scale)
     record("frac-local-matrix", err, 1e-10)
@@ -310,7 +295,7 @@ def run_validation(history_trials: int = 2) -> list[tuple[str, float, float, boo
                     hist = fraccalc.history_contribution(beta, coeffs, src, tgt)
                     scale = max(np.max(np.abs(hist)), 1e-30)
                     for q in range(k + 1):
-                        ref = fraccalc.oracle_frac_entry(beta, coeffs, unit(q, k),
+                        ref = fraccalc.oracle_frac_entry(beta, coeffs, np.eye(k + 1)[q],
                                                          src, tgt, tol=1e-11)
                         err = max(err, abs(hist[q] - ref) / scale)
     record("frac-history", err, 1e-10)
@@ -329,12 +314,8 @@ def run_validation(history_trials: int = 2) -> list[tuple[str, float, float, boo
     return checks
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _parse_list(text: str, kind) -> list:
+    return [kind(v) for v in text.split(",") if v.strip()]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -390,9 +371,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    alphas = _parse_floats(args.alphas)
-    ks = _parse_ints(args.ks)
-    ns = _parse_ints(args.ns)
+    alphas = _parse_list(args.alphas, float)
+    ks = _parse_list(args.ks, int)
+    ns = _parse_list(args.ns, int)
     if not alphas or not ks or not ns:
         raise ValueError("need at least one alpha, one k, and one n")
     os.makedirs(args.out_dir, exist_ok=True)

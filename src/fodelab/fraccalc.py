@@ -14,20 +14,22 @@ Both are computed in closed form:
   modal coefficients,
 * history: power-rule expansions through the Gauss hypergeometric function
   for nearby source elements (the whole (k+1)x(k+1) moment matrix of a
-  source endpoint in one ``hyp2f1`` array call), and a binomial multipole
-  series in element-size over center-distance for well separated ones
-  (the alternating sign of the source ratio is folded into the cached
-  kernel table, so only positive ratios are raised to powers).
+  source endpoint in one ``hyp2f1`` array call, memoised on its arguments),
+  and a binomial multipole series in element-size over center-distance for
+  well separated ones (the sign of the source ratio folded into the cached
+  kernel table, so only positive ratios are raised to powers).  On a uniform
+  mesh (widths and center distances equal to relative roundoff 1e-13) a far
+  source d widths back adds h**(1+beta) T[d] c, with T[d] the same order-40
+  series read from a cached table (at most 64 MiB in all, see _UNIFORM_RTOL).
 
 The near/far switch is ``(h_src + h_tgt) / (2 * center_distance) <= 0.35``;
 there the order-40 multipole tail is below 1e-17 relative, while the near
 form keeps its cancellation loss mild (farther sources get lower orders, see
 MULTIPOLE_TERMS).  The switch lives here only: ``_element_history`` splits
 the history of one element into one batched far-field sum plus near-field
-terms, and both the LDG march and
-``frac_pairing`` call it; point evaluation (``frac_integral_eval``,
-``rl_derivative_eval``) applies the same separation with the evaluation
-time as a target of width 0.  Entries are fully accurate
+terms for the LDG march and ``frac_pairing``; point evaluation
+(``frac_integral_eval``, ``rl_derivative_eval``) applies the same separation
+with the evaluation time as a target of width 0.  Entries are fully accurate
 for degrees used in practice (k <= 5 better than 1e-12 relative); at the
 supported maximum k = 8 adjacent-element entries lose a few more digits to
 cancellation between the two power families but stay near 1e-9.
@@ -89,6 +91,15 @@ _MULTIPOLE_LADDER = tuple(
 
 #: Fewest sources for which a reduced order repays its extra array pass.
 _RUNG_MIN_SOURCES = 64
+
+#: A far call is uniform when every source width is within relative roundoff
+#: _UNIFORM_RTOL of the target width h and every center distance of a multiple
+#: d*h; it reads _uniform_far_table, whose 32 cached tables of at most 2**18
+#: floats (2 MiB: d < 65536 at k = 1, 16384 at k = 2, 3, 2048 at k = 8) hold
+#: at most 64 MiB.  A call reaching past its table runs the ladder.
+#: A uniform call differs from the ladder by a few _UNIFORM_RTOL at most,
+#: relative to the sum of the absolute source contributions.
+_UNIFORM_RTOL, _UNIFORM_TABLE_FLOATS = 1e-13, 2**18
 
 
 class OracleError(RuntimeError):
@@ -174,6 +185,7 @@ def local_frac_matrix(beta: float, k: int) -> np.ndarray:
     return _near_table(beta, _check_degree(k)).local
 
 
+@lru_cache(maxsize=1024)
 def _phi_power_moments(beta: float, k: int, c0: float, c1: float) -> np.ndarray:
     """T[q, n] = int_0^1 phi_q(xi) (c0 + c1*xi)**(n + beta) dxi, q, n = 0..k, for c0 >= 0, c1 > 0.
 
@@ -182,17 +194,21 @@ def _phi_power_moments(beta: float, k: int, c0: float, c1: float) -> np.ndarray:
     Euler integral give a single Gauss hypergeometric value; a Pfaff
     transformation moves the argument to w = c1/(c0+c1) in (0, 1), where the
     series has all-positive terms (no cancellation).  The whole matrix takes
-    one hyp2f1 call; the rest comes from the cached ``_near_table``.
+    one hyp2f1 call; the rest comes from the cached ``_near_table``.  Memoised
+    on the exact arguments (a uniform mesh repeats a few), so read-only.
     """
     t = _near_table(beta, k)
     if c0 <= 1e-14 * c1:
         # exactly zero in practice (shared mesh node); dropping a genuinely
         # tiny offset perturbs the value by <= gamma*c0/c1 relative
-        return c1**t.gam * t.g0
-    w = c1 / (c0 + c1)
-    f = hyp2f1(t.f_a, t.f_b, t.f_c, w)
-    pref = t.ff * c1**t.q * t.fact_lo / t.fact_hi  # q!/(2q+1)! from exact factorials
-    return pref * c0**t.gmq * (1.0 - w) ** t.f_a * f
+        out = c1**t.gam * t.g0
+    else:
+        w = c1 / (c0 + c1)
+        f = hyp2f1(t.f_a, t.f_b, t.f_c, w)
+        pref = t.ff * c1**t.q * t.fact_lo / t.fact_hi  # q!/(2q+1)! from exact factorials
+        out = pref * c0**t.gmq * (1.0 - w) ** t.f_a * f
+    out.flags.writeable = False
+    return out
 
 
 def _near_history(beta: float, coeffs: np.ndarray, s0: float, s1: float, rho: float) -> np.ndarray:
@@ -251,6 +267,22 @@ def _far_kernel_table(beta: float) -> np.ndarray:
     return tab
 
 
+@lru_cache(maxsize=32)
+def _uniform_far_table(beta: float, k: int, rows: int) -> np.ndarray:
+    """Row d >= 3 holds T[d], transposed and raveled (rows 0..2 are unused):
+    far_history_sum's order-40 series for a source and target of unit width
+    whose centers lie d apart, T[d] = d**(beta-1)/Gamma(beta) sum_N (2d)**-N
+    Q_N, where Q_N = sum_{l+m=N} K[l, m] P[:, l] P[:, m]^T (its K and P)."""
+    p, ls = _p_table(k), np.arange(MULTIPOLE_TERMS + 1)
+    # pairs[(l, m), (a, b)] = K[l, m] P[a, m] P[b, l], summed over l + m = N by a 0/1 matrix
+    pairs = _far_kernel_table(beta)[:, :, None, None] * p.T[None, :, :, None] * p.T[:, None, None, :]
+    q = (ls[:, None, None] == ls[:, None] + ls).reshape(ls.size, -1) @ pairs.reshape(ls.size**2, -1)
+    d = np.maximum(np.arange(rows), 1.0)[:, None]
+    tab = d ** (beta - 1.0) / gamma_fn(beta) * (2.0 * d) ** -ls @ q
+    tab.flags.writeable = False
+    return tab
+
+
 def far_history_sum(
     beta: float,
     target_interval: Sequence[float],
@@ -261,7 +293,8 @@ def far_history_sum(
 
     Evaluates the multipole series of all sources of one order at once (one
     matrix product per ladder rung in use; order L keeps both ratio powers
-    <= L), which is the O(n^2) hot path of a march.  Every source must
+    <= L), which is the O(n^2) hot path of a march; a uniform call reads one
+    cached block per source instead (see _UNIFORM_RTOL).  Every source must
     satisfy the far-field condition; a ValueError is raised otherwise.
 
     Args:
@@ -279,6 +312,8 @@ def far_history_sum(
     if src.shape[0] != c.shape[0]:
         raise ValueError("one coefficient row per source interval is required")
     k = c.shape[1] - 1
+    if not c.shape[0]:
+        return np.zeros(k + 1)
     a_t, b_t = map(float, target_interval)
     h_t = b_t - a_t
     h_s = src[:, 1] - src[:, 0]
@@ -286,6 +321,13 @@ def far_history_sum(
     theta = _separation(h_s, h_t, dist)
     if not (dist.min() > 0 and theta.max() <= NEAR_FIELD_THRESHOLD * (1 + 1e-12)):
         raise ValueError("far_history_sum called with a source outside the far field")
+    if h_t > 0 and np.abs(h_s - h_t).max() <= _UNIFORM_RTOL * h_t:
+        x = dist / h_t
+        d = np.rint(x)  # the guard leaves d >= 3 on a uniform call
+        rows = max(256, 1 << int(d.max()).bit_length())  # few sizes, so few tables to cache
+        if np.all(np.abs(x - d) <= _UNIFORM_RTOL * d) and rows * (k + 1) ** 2 <= _UNIFORM_TABLE_FLOATS:
+            tab = _uniform_far_table(beta, k, rows)[d.astype(np.intp)]
+            return h_t ** (1.0 + beta) * (c.ravel() @ tab.reshape(-1, k + 1))
 
     a_ratio = h_t / (2.0 * dist)
     b_ratio = h_s / (2.0 * dist)

@@ -53,8 +53,10 @@ class MlfQuery:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.sample_count < 1 or self.n < 1:
-            raise ValueError("sample_count and n must be at least 1")
+        for name, low in (("sample_count", 1), ("n", 1), ("k", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def mlf_series(alpha: float, beta: float, z: float, tol: float = 1e-12) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fraccalc import caputo_power
-from .polybasis import MAX_DEGREE, eval_poly, project
+from .polybasis import MAX_DEGREE, eval_poly
 
 __all__ = [
     "Mesh",
@@ -35,7 +35,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "linear_model",
     "verify_forcing",
-    "project_piecewise",
     "load_problem_config",
 ]
 
@@ -188,31 +187,10 @@ class PiecewisePoly:
         """Traces X(t_j^-) at the right end of each element, j = 1..n."""
         return self.coeffs[:, field, :].sum(axis=1)
 
-    def upwind_values(self, field: int = 0) -> np.ndarray:
-        """Traces X(t_j^+) at the left end of each element, j = 0..n-1."""
-        signs = (-1.0) ** np.arange(self.k + 1)
-        return self.coeffs[:, field, :] @ signs
-
-
-def project_piecewise(f: Callable, mesh: Mesh, k: int) -> PiecewisePoly:
-    """Element-by-element L2 projection of a scalar function (single field)."""
-    coeffs = np.empty((mesh.n, 1, k + 1))
-    for j in range(mesh.n):
-        coeffs[j, 0] = project(f, mesh.interval(j), k)
-    return PiecewisePoly(mesh, k, coeffs)
-
 
 def _poly_from_monomials(mono: Sequence[float]) -> Callable:
     c = np.asarray(mono, dtype=float)
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for j in range(c.size - 1, -1, -1):
-            out = out * t + c[j]
-        return out
-
-    return evaluate
+    return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c)
 
 
 def _initial_from_monomials(mono: Sequence[float], count: int) -> tuple:

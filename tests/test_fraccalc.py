@@ -10,6 +10,7 @@ import pytest
 
 from fodelab import fraccalc as fc
 from fodelab import polybasis as pb
+from fodelab.problem import build_mesh
 
 
 def test_caputo_power_rule():
@@ -86,6 +87,9 @@ def test_phi_power_moment_hand_values():
     np.testing.assert_allclose(fc._phi_power_moments(0.3, 0, 0.0, 2.0)[0, 0], 2.0**0.3 / 1.3, rtol=1e-14)
     # integer exponent below q: falling factorial kills it exactly
     assert fc._phi_power_moments(2.0, 3, 1.0, 1.0)[3, 0] == 0.0
+    # memoised, so both branches hand out read-only arrays
+    assert not fc._phi_power_moments(0.5, 1, 1.0, 1.0).flags.writeable
+    assert not fc._phi_power_moments(0.3, 0, 0.0, 2.0).flags.writeable
 
 
 def test_phi_power_moments_match_quadrature():
@@ -229,6 +233,67 @@ def test_far_history_truncation_at_each_rung():
                 fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
             ])
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _table_calls():
+    info = fc._uniform_far_table.cache_info()
+    return info.hits + info.misses
+
+
+def test_uniform_far_table_matches_oracle():
+    # a unit source and target d widths apart read block T[d] of the table,
+    # at the nearest far distance and a distant one
+    rng = np.random.default_rng(37)
+    k = 3
+    for d in (3, 40):
+        src, tgt = (0.0, 1.0), (float(d), d + 1.0)
+        for beta in (0.2, 0.95, 1.5):
+            c = rng.standard_normal(k + 1)
+            calls = _table_calls()
+            got = fc.far_history_sum(beta, tgt, [src], c[None, :])
+            assert _table_calls() == calls + 1
+            block = fc._uniform_far_table(beta, k, 256)[d].reshape(k + 1, k + 1).T
+            np.testing.assert_array_equal(got, block @ c)
+            ref = np.array([
+                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
+            ])
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_uniform_far_table_matches_ladder(monkeypatch):
+    # build_mesh(1000, 0.7) is uniform only to roundoff: calls whose widths
+    # and distances pass _UNIFORM_RTOL read the table, the rest run the
+    # ladder; either way the result stays within a few _UNIFORM_RTOL of the
+    # ladder's, relative to the sum of absolute source contributions
+    rng = np.random.default_rng(41)
+    nodes = build_mesh(1000, 0.7).nodes
+    rtol = fc._UNIFORM_RTOL
+    table_calls = 0
+    for beta, k in ((0.1, 3), (0.5, 2), (1.3, 1)):
+        coeffs = rng.standard_normal((1000, k + 1))
+        for j in (20, 150, 400, 999):
+            src, c = np.column_stack([nodes[: j - 2], nodes[1 : j - 1]]), coeffs[: j - 2]
+            tgt = nodes[j : j + 2]
+            calls = _table_calls()
+            got = fc.far_history_sum(beta, tgt, src, c)
+            table_calls += _table_calls() - calls
+            with monkeypatch.context() as m:
+                m.setattr(fc, "_UNIFORM_RTOL", -1.0)  # no call is uniform: the ladder
+                ladder = fc.far_history_sum(beta, tgt, src, c)
+                parts = [fc.far_history_sum(beta, tgt, src[i : i + 1], c[i : i + 1]) for i in range(j - 2)]
+            assert np.all(np.abs(got - ladder) <= 3 * rtol * np.sum(np.abs(parts), axis=0))
+    assert table_calls > 0
+    # widths that differ by 1e-11 relative are beyond roundoff: no table
+    jittered = nodes + 1e-11 * 7e-4 * rng.standard_normal(nodes.size)
+    calls = _table_calls()
+    src = np.column_stack([jittered[:98], jittered[1:99]])
+    fc.far_history_sum(0.5, jittered[100:102], src, np.ones((98, 2)))
+    assert _table_calls() == calls
+
+
+def test_far_history_sum_without_sources_is_zero():
+    empty = fc.far_history_sum(0.5, (1, 2), np.empty((0, 2)), np.empty((0, 3)))
+    np.testing.assert_array_equal(empty, np.zeros(3))
 
 
 def test_far_history_sum_rejects_near_sources():

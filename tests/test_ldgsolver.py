@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fodelab import fraccalc
 from fodelab.fraccalc import history_contribution
 from fodelab.ldgsolver import (
     EnergyReport,
@@ -18,11 +19,11 @@ from fodelab.ldgsolver import (
 )
 from fodelab.polybasis import project
 from fodelab.problem import (
+    PiecewisePoly,
     ProblemSpec,
     build_mesh,
     builtin_problem,
     linear_model,
-    project_piecewise,
 )
 
 
@@ -185,7 +186,8 @@ def test_newton_stall_raises_solver_error():
 
 def test_error_helpers_on_projected_data():
     mesh = build_mesh(6, 1.5)
-    sol = project_piecewise(lambda t: t * t, mesh, 3)
+    coeffs = np.array([project(lambda t: t * t, mesh.interval(j), 3) for j in range(mesh.n)])
+    sol = PiecewisePoly(mesh, 3, coeffs)
     assert np.max(downwind_errors(sol, lambda t: t * t)) < 1e-13
     assert l2_error(sol, lambda t: t * t) < 1e-13
     shifted = downwind_errors(sol, lambda t: t * t + 0.25)
@@ -193,6 +195,32 @@ def test_error_helpers_on_projected_data():
     assert l2_error(sol, lambda t: t * t + 0.25) == pytest.approx(
         0.25 * math.sqrt(1.5), rel=1e-12
     )
+
+
+def test_march_accounts_for_every_history_pair(monkeypatch):
+    # the bench's trace check: under one march, the history_contribution
+    # calls plus the sources of the far_history_sum calls cover each of the
+    # n(n-1)/2 (source, target) element pairs once, on any mesh
+    pairs = {"near": 0, "far": 0}
+    near, far = fraccalc.history_contribution, fraccalc.far_history_sum
+
+    def count_near(*args, **kwargs):
+        pairs["near"] += 1
+        return near(*args, **kwargs)
+
+    def count_far(beta, target, sources, coeffs):
+        pairs["far"] += len(coeffs)
+        return far(beta, target, sources, coeffs)
+
+    monkeypatch.setattr(fraccalc, "history_contribution", count_near)
+    monkeypatch.setattr(fraccalc, "far_history_sum", count_far)
+    spec = builtin_problem("L1", 0.5)
+    n = 64
+    for grading in (1.0, 2.0):
+        pairs.update(near=0, far=0)
+        march(spec, build_mesh(n, spec.horizon, grading=grading), SolveOptions(k=2))
+        assert pairs["near"] > 0 and pairs["far"] > 0
+        assert pairs["near"] + pairs["far"] == n * (n - 1) // 2
 
 
 def test_energy_identity_is_exact():

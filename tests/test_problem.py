@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fodelab.polybasis import eval_poly, project
 from fodelab.problem import (
     BUILTIN_NAMES,
     Mesh,
@@ -15,9 +16,13 @@ from fodelab.problem import (
     builtin_problem,
     linear_model,
     load_problem_config,
-    project_piecewise,
     verify_forcing,
 )
+
+
+def _projected(f, mesh, k):
+    """Element-by-element L2 projection of f as a one-field solution."""
+    return PiecewisePoly(mesh, k, np.array([project(f, mesh.interval(j), k) for j in range(mesh.n)]))
 
 
 def test_build_mesh_uniform():
@@ -133,16 +138,18 @@ def test_piecewise_poly_roundtrip():
     for k in (1, 2, 3):
         # project a polynomial of degree <= k and evaluate it back
         f = lambda t: (2.0 * t - 0.3) ** k
-        sol = project_piecewise(f, mesh, k)
+        sol = _projected(f, mesh, k)
         t = np.linspace(0.0, 1.0, 41)
         np.testing.assert_allclose(sol(t), f(t), rtol=1e-12, atol=1e-12)
 
 
 def test_piecewise_poly_traces():
     mesh = build_mesh(4, 1.0)
-    sol = project_piecewise(lambda t: t**2, mesh, 2)
+    sol = _projected(lambda t: t**2, mesh, 2)
     np.testing.assert_allclose(sol.downwind_values(), mesh.nodes[1:] ** 2, rtol=1e-13)
-    np.testing.assert_allclose(sol.upwind_values(), mesh.nodes[:-1] ** 2, rtol=1e-13, atol=1e-15)
+    # left traces X(t_j^+), each element's polynomial at its own left end
+    left = [eval_poly(sol.coeffs[j, 0], mesh.interval(j), mesh.nodes[j]) for j in range(mesh.n)]
+    np.testing.assert_allclose(left, mesh.nodes[:-1] ** 2, rtol=1e-13, atol=1e-15)
 
 
 def test_piecewise_poly_shape_validation():
