@@ -24,15 +24,17 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import fraccalc, polybasis
 from .ldgsolver import SolveOptions, SolverError, downwind_errors, l2_error, march
 from .mittag import MlfQuery, mlf_series, mlf_solve
+from .polybasis import _check_int
 from .problem import (
     BUILTIN_NAMES,
+    _read_config,
     build_mesh,
     builtin_problem,
     load_problem_config,
@@ -59,6 +61,8 @@ EXIT_BAD_INPUT = 2
 EXIT_SOLVER = 3
 
 CSV_HEADER = "n,h,err_dw_final,err_dw_max,rate_dw,err_l2,rate_l2"
+
+_FIT_POINTS = 3  # coarser levels are pre-asymptotic; two would repeat the pairwise rate
 
 
 def _fmt(value: float) -> str:
@@ -114,14 +118,14 @@ class ConvergenceReport:
         return out
 
 
-def fit_rate(ns, errs, points: int = 3) -> float | None:
-    """Least-squares slope of log(err) against log(h) over the last points.
+def fit_rate(ns, errs) -> float | None:
+    """Least-squares slope of log(err) against log(h) over the last three levels.
 
     Levels with vanishing or non-finite errors are skipped.  Returns None
     when fewer than two usable levels remain.
     """
     usable = [(n, e) for n, e in zip(ns, errs) if np.isfinite(e) and e > 0.0]
-    usable = usable[-points:]
+    usable = usable[-_FIT_POINTS:]
     if len(usable) < 2:
         return None
     x = np.log([1.0 / n for n, _ in usable])
@@ -149,44 +153,39 @@ def expected_rates(alpha: float, m: int, k: int) -> tuple[float, float | None]:
     return l2, k + 1.0 + min(float(k), max(float(alpha), float(m)))
 
 
-def _study_row(spec, k: int, n: int, options: SolveOptions):
-    mesh = build_mesh(n, spec.horizon)
-    sol = march(spec, mesh, options)
-    errs = downwind_errors(sol, spec.exact)
-    return float(errs[-1]), float(np.max(errs)), l2_error(sol, spec.exact)
-
-
 def run_convergence_study(
     spec,
     k: int,
     n_list,
     rate_tol: float = 0.4,
     threads: int = 1,
-    options: SolveOptions | None = None,
 ) -> ConvergenceReport:
     """Mesh-refinement study for one (problem, k): errors, rates, flags.
 
-    Rows run on up to ``threads`` threads but are assembled in input
-    order, so the report is deterministic.  A solver failure marks its row
-    and the study continues with the remaining levels.  The L2 rate is
-    flagged when it lies more than ``rate_tol`` from k+1 either way; the
+    Each level marches ``SolveOptions(k=k)`` on n uniform elements (n an
+    integer >= 1).  Rows run on up to ``threads`` threads but are assembled
+    in input order, so the report is deterministic.  A solver failure marks
+    its row and the study continues with the remaining levels.  The L2 rate
+    is flagged when it lies more than ``rate_tol`` from k+1 either way; the
     downwind rate only when it falls more than ``rate_tol`` short of its
     expected order, since that order is a lower bound.
     """
     if spec.exact is None:
         raise ValueError("a convergence study needs a problem with an exact solution")
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(n < 1 for n in n_list):
-        raise ValueError("n values must be positive integers")
-    options = replace(options, k=k) if options is not None else SolveOptions(k=k)
+    n_list = [_check_int("n", n, 1) for n in n_list]
+    if not n_list:
+        raise ValueError("a convergence study needs at least one n")
+    options = SolveOptions(k=k)
 
     start = time.perf_counter()
 
     def attempt(n):
         try:
-            return _study_row(spec, k, n, options)
+            sol = march(spec, build_mesh(n, spec.horizon), options)
         except SolverError as exc:
             return exc
+        errs = downwind_errors(sol, spec.exact)
+        return float(errs[-1]), float(np.max(errs)), l2_error(sol, spec.exact)
 
     with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
         outcomes = list(pool.map(attempt, n_list))
@@ -351,10 +350,7 @@ def cmd_solve(args) -> int:
     if args.config is not None:
         if args.problem is not None or args.alpha is not None:
             raise ValueError("--config and --problem/--alpha are mutually exclusive")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
+        raw = _read_config(args.config)
     else:
         if args.problem is None or args.alpha is None:
             raise ValueError("either --config or both --problem and --alpha are required")

@@ -26,6 +26,7 @@ from scipy.special import gammaln
 
 from .fraccalc import frac_integral_eval, rl_derivative_eval
 from .ldgsolver import SolveOptions, march
+from .polybasis import _check_int
 from .problem import build_mesh, linear_model
 
 __all__ = ["MlfQuery", "mlf_series", "mlf_solve"]
@@ -54,9 +55,7 @@ class MlfQuery:
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         for name, low in (("sample_count", 1), ("n", 1), ("k", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_int(name, getattr(self, name), low)
 
 
 def mlf_series(alpha: float, beta: float, z: float, tol: float = 1e-12) -> float:

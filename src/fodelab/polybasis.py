@@ -51,32 +51,33 @@ class QuadRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
-    def __iter__(self):
-        return iter((self.nodes, self.weights))
+
+def _check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high]; bools and floats (even 8.0) raise, naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 def _check_degree(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_DEGREE:
-        raise ValueError(f"polynomial degree must be an integer in [0, {MAX_DEGREE}], got {k!r}")
-    return int(k)
+    return _check_int("polynomial degree k", k, 0, MAX_DEGREE)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # else a cached np.int64(2) rule answers for 2.0
 def gauss_legendre(n: int) -> QuadRule:
     """Gauss-Legendre rule with ``n`` points on [0, 1] (exact to degree 2n-1).
 
     Rules are cached per ``n``; their arrays are read-only.
     """
-    if n < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {n}")
-    x, w = leggauss(int(n))
+    x, w = leggauss(_check_int("quadrature order n", n, 1))
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadRule(nodes, weights, "legendre")
+    return QuadRule(nodes, weights)
 
 
 def gauss_jacobi(n: int, a: float, b: float) -> QuadRule:
@@ -90,17 +91,16 @@ def gauss_jacobi(n: int, a: float, b: float) -> QuadRule:
         a: exponent at the right endpoint, must satisfy a > -1.
         b: exponent at the left endpoint, must satisfy b > -1.
     """
-    if n < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {n}")
+    n = _check_int("quadrature order n", n, 1)
     if a <= -1.0 or b <= -1.0:
         raise ValueError(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
     # scipy's convention: weight (1-x)^a (1+x)^b on [-1, 1].
-    x, w = roots_jacobi(int(n), float(a), float(b))
+    x, w = roots_jacobi(n, float(a), float(b))
     nodes = 0.5 * (x + 1.0)
     weights = w / 2.0 ** (a + b + 1.0)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadRule(nodes, weights, f"jacobi({a},{b})")
+    return QuadRule(nodes, weights)
 
 
 def legendre_table(k: int, xi: np.ndarray) -> np.ndarray:
@@ -169,23 +169,18 @@ def legendre_to_monomial(k: int) -> np.ndarray:
     return a
 
 
-def project(
-    f: Callable[[np.ndarray], np.ndarray],
-    interval: Sequence[float],
-    k: int,
-    quad_order: int | None = None,
-) -> np.ndarray:
+def project(f: Callable[[np.ndarray], np.ndarray], interval: Sequence[float], k: int) -> np.ndarray:
     """L2 projection of ``f`` onto polynomials of degree <= k on ``interval``.
 
-    Returns the modal coefficient vector c with c[q] = (2q+1) <f, phi_q>.
-    ``quad_order`` defaults to k+6 Gauss points, which is exact for
-    polynomial data of degree <= k and accurate for smooth data.
+    Returns the modal coefficient vector c with c[q] = (2q+1) <f, phi_q>,
+    by k+6 Gauss points: exact for polynomial data of degree <= k and
+    accurate for smooth data.
     """
     k = _check_degree(k)
     a, b = map(float, interval)
     if not b > a:
         raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
-    rule = gauss_legendre(quad_order if quad_order is not None else k + 6)
+    rule = gauss_legendre(k + 6)
     t = a + (b - a) * rule.nodes
     vals = np.asarray(f(t), dtype=float)
     if vals.shape != t.shape:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fraccalc import caputo_power
-from .polybasis import MAX_DEGREE, eval_poly
+from .polybasis import MAX_DEGREE, _check_int, eval_poly
 
 __all__ = [
     "Mesh",
@@ -78,8 +78,7 @@ def build_mesh(n: int, horizon: float, grading: float = 1.0) -> Mesh:
     which compensates the t**alpha startup singularity of fractional
     problems with non-smooth solutions.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer number of elements >= 1, got {n!r}")
+    n = _check_int("n", n, 1)
     if not np.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not np.isfinite(grading) or grading < 1.0:
@@ -98,8 +97,9 @@ class ProblemSpec:
 
     ``f(x, t)`` is the right-hand side, vectorized over t (x is then an
     array of the same shape).  ``df_dx`` is its x-derivative, used by the
-    per-element Newton solve; for ``linear`` problems f must have the form
-    c(t)*x + r(t) and df_dx must not depend on x.  ``exact_monomials`` are
+    per-element Newton solve (by central differences when None); for
+    ``linear`` problems f must have the form c(t)*x + r(t), and df_dx is
+    required and must not depend on x.  ``exact_monomials`` are
     the coefficients (low order first) of a polynomial exact solution when
     one is known; ``exact`` may be any callable.
     """
@@ -125,6 +125,9 @@ class ProblemSpec:
             raise ValueError("coefficient d(t) must be present exactly when m >= 1")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        # linear problems get one unchecked solve: a differenced Jacobian's error would stay
+        if self.linear and self.df_dx is None:
+            raise ValueError(f"{self.name}: a linear problem needs df_dx")
         need = _required_initial_count(self.alpha, self.m)
         if len(self.initial) != need:
             raise ValueError(
@@ -356,17 +359,11 @@ def load_problem_config(source) -> dict:
 
     Keys: alpha (required), forcing (builtin name, required), and optional
     m, T, initial, n, k.  T and initial override the builtin's defaults;
-    m, when given, must agree with the builtin's structure.  Returns a dict
-    with the ProblemSpec under "spec" plus resolved n and k.
+    m, when given, must agree with the builtin's structure; n, k and m
+    must be integers.  Returns a dict with the ProblemSpec under "spec"
+    plus resolved n and k.
     """
-    if isinstance(source, dict):
-        cfg = dict(source)
-    elif hasattr(source, "read"):
-        cfg = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-
+    cfg = _read_config(source)
     unknown = set(cfg) - {"alpha", "m", "T", "initial", "forcing", "n", "k"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -377,19 +374,31 @@ def load_problem_config(source) -> dict:
         raise ValueError(f"config is missing required key {exc}") from exc
 
     spec = builtin_problem(forcing, alpha)
-    if "m" in cfg and int(cfg["m"]) != spec.m:
+    if "m" in cfg and _check_int("m", cfg["m"], 0) != spec.m:
         raise ValueError(f"config m={cfg['m']} conflicts with builtin {spec.name} (m={spec.m})")
     horizon = float(cfg.get("T", spec.horizon))
     initial = tuple(float(v) for v in cfg.get("initial", spec.initial))
     if horizon != spec.horizon or initial != spec.initial:
-        spec = ProblemSpec(
-            name=spec.name, alpha=spec.alpha, f=spec.f, df_dx=spec.df_dx,
-            initial=initial, horizon=horizon, m=spec.m, d=spec.d, linear=spec.linear,
-            exact=spec.exact if horizon <= spec.horizon else None,
-            exact_monomials=spec.exact_monomials if horizon <= spec.horizon else None,
+        covered = horizon <= spec.horizon  # the stated solution holds on (0, T] only
+        spec = replace(
+            spec, initial=initial, horizon=horizon,
+            exact=spec.exact if covered else None,
+            exact_monomials=spec.exact_monomials if covered else None,
         )
-    n = int(cfg.get("n", 16))
-    k = int(cfg.get("k", 2))
-    if n < 1 or not 0 <= k <= MAX_DEGREE:
-        raise ValueError(f"invalid mesh/degree parameters n={n}, k={k}")
+    n = _check_int("n", cfg.get("n", 16), 1)
+    k = _check_int("k", cfg.get("k", 2), 0, MAX_DEGREE)
     return {"spec": spec, "n": n, "k": k}
+
+
+def _read_config(source) -> dict:
+    """A config dict from a JSON file path, file object, or dict (copied)."""
+    if isinstance(source, dict):
+        cfg = source
+    elif hasattr(source, "read"):
+        cfg = json.load(source)
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    return dict(cfg)

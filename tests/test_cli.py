@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fodelab import cli
+from fodelab import cli, ldgsolver
 from fodelab.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -16,7 +16,6 @@ from fodelab.cli import (
     run_convergence_study,
     run_validation,
 )
-from fodelab.ldgsolver import SolveOptions
 from fodelab.problem import builtin_problem, load_problem_config
 
 
@@ -108,10 +107,10 @@ def test_study_threads_do_not_change_bytes():
     assert serial == parallel
 
 
-def test_study_marks_solver_failures_but_continues():
+def test_study_marks_solver_failures_but_continues(monkeypatch):
     spec = builtin_problem("N1", 0.5)
-    opts = SolveOptions(newton_max_iter=1)
-    report = run_convergence_study(spec, 2, [8, 16], options=opts)
+    monkeypatch.setattr(ldgsolver, "_NEWTON_MAX_ITER", 1)
+    report = run_convergence_study(spec, 2, [8, 16])
     assert all(r.failed for r in report.rows)
     assert all(math.isnan(r.err_dw_final) for r in report.rows)
     assert report.rate_dw_ls is None
@@ -123,6 +122,9 @@ def test_study_requires_exact_solution():
     assert cfg["spec"].exact is None
     with pytest.raises(ValueError):
         run_convergence_study(cfg["spec"], 1, [8, 16])
+    # mesh sizes are not truncated to integers
+    with pytest.raises(ValueError, match="n must be"):
+        run_convergence_study(builtin_problem("L1", 0.5), 1, [8.5, 16.9])
 
 
 def test_solve_command_trace(capsys):
@@ -155,7 +157,7 @@ def test_solve_command_config_file(tmp_path):
     assert code == EXIT_OK
 
 
-def test_solve_command_rejects_bad_input(capsys):
+def test_solve_command_rejects_bad_input(tmp_path, capsys):
     assert cli.main(["solve", "--problem", "L1", "--alpha", "0"]) == EXIT_BAD_INPUT
     assert "alpha" in capsys.readouterr().err
     assert cli.main(["solve", "--problem", "L1"]) == EXIT_BAD_INPUT
@@ -163,6 +165,11 @@ def test_solve_command_rejects_bad_input(capsys):
     cfg_err = cli.main(["solve", "--config", "x.json", "--problem", "L1",
                         "--alpha", "0.5"])
     assert cfg_err == EXIT_BAD_INPUT
+    capsys.readouterr()
+    array = tmp_path / "problem.json"
+    array.write_text(json.dumps([{"alpha": 0.5, "forcing": "L1"}]))
+    assert cli.main(["solve", "--config", str(array), "--n", "8"]) == EXIT_BAD_INPUT
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two():

@@ -14,6 +14,15 @@ def test_gauss_legendre_weights_sum_to_one():
         assert pb.gauss_legendre(n) is rule and not rule.weights.flags.writeable
 
 
+def test_quadrature_order_must_be_integer():
+    pb.gauss_legendre(np.int64(2))  # a cached rule must not answer for 2.0
+    for bad in (2.5, 2.0, True, 0):
+        with pytest.raises(ValueError, match="quadrature order"):
+            pb.gauss_legendre(bad)
+        with pytest.raises(ValueError, match="quadrature order"):
+            pb.gauss_jacobi(bad, 0.5, 0.0)
+
+
 def test_gauss_legendre_polynomial_exactness():
     rule = pb.gauss_legendre(6)
     for d in range(12):  # exact through degree 2*6-1

@@ -2,6 +2,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_mesh_validation():
     with pytest.raises(ValueError):
         build_mesh(8, 1.0, grading=0.5)
     # a fractional element count would give a mesh ending past the horizon
-    for bad in (2.5, 8.0, "8", 0):
+    for bad in (2.5, 8.0, "8", 0, True):
         with pytest.raises(ValueError, match="n must be"):
             build_mesh(bad, 1.0)
     for bad in (math.nan, math.inf):
@@ -78,6 +79,14 @@ def test_damping_requires_coefficient():
             name="bad", alpha=0.5, f=lambda x, t: x, df_dx=None,
             initial=(1.0,), horizon=1.0, m=1, d=None,
         )
+
+
+def test_linear_problem_requires_jacobian():
+    # a linear problem is solved once with no residual check, so a
+    # differenced Jacobian would leave its error in the solution
+    with pytest.raises(ValueError, match="df_dx"):
+        replace(builtin_problem("L2", 1.5), df_dx=None)
+    replace(builtin_problem("L2", 1.5), df_dx=None, linear=False)
 
 
 def test_builtin_problems_verify_forcing():
@@ -160,7 +169,7 @@ def test_piecewise_poly_shape_validation():
         PiecewisePoly(mesh, 2, np.zeros((3, 1, 2)))  # wrong degree
 
 
-def test_load_problem_config():
+def test_load_problem_config(tmp_path):
     cfg = {"alpha": 0.5, "m": 0, "T": 1.0, "initial": [1.0], "forcing": "L1", "n": 16, "k": 2}
     out = load_problem_config(cfg)
     assert out["n"] == 16 and out["k"] == 2
@@ -177,6 +186,16 @@ def test_load_problem_config():
         load_problem_config({"alpha": 0.5, "forcing": "L1", "bogus": 1})
     with pytest.raises(ValueError):
         load_problem_config({"forcing": "L1"})
+    # integer settings are checked, not truncated
+    base = {"alpha": 0.5, "forcing": "L1Prime"}
+    for key, value in (("n", 16.7), ("k", 2.9), ("m", 1.5), ("n", True), ("k", 9)):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            load_problem_config({**base, key: value})
+    # a file holding anything but a JSON object is bad input
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([cfg]))
+    with pytest.raises(ValueError, match="JSON object"):
+        load_problem_config(str(array))
 
 
 def test_config_overrides_horizon_drops_exact():
