@@ -22,7 +22,6 @@ from .fraccalc import (
     frac_integral_eval,
     frac_pairing,
     local_frac_matrix,
-    oracle_frac_entry,
     rl_derivative_eval,
 )
 from .ldgsolver import (
@@ -73,7 +72,6 @@ __all__ = [
     "frac_integral_eval",
     "frac_pairing",
     "local_frac_matrix",
-    "oracle_frac_entry",
     "rl_derivative_eval",
     # problems and meshes
     "BUILTIN_NAMES",

@@ -162,19 +162,23 @@ def run_convergence_study(
 ) -> ConvergenceReport:
     """Mesh-refinement study for one (problem, k): errors, rates, flags.
 
-    Each level marches ``SolveOptions(k=k)`` on n uniform elements (n an
-    integer >= 1).  Rows run on up to ``threads`` threads but are assembled
-    in input order, so the report is deterministic.  A solver failure marks
-    its row and the study continues with the remaining levels.  The L2 rate
-    is flagged when it lies more than ``rate_tol`` from k+1 either way; the
-    downwind rate only when it falls more than ``rate_tol`` short of its
-    expected order, since that order is a lower bound.
+    Each level marches ``SolveOptions(k=k)`` on n uniform elements (the n
+    strictly increasing integers >= 1).  Rows run on up to ``threads``
+    threads (an integer >= 1) but are assembled in input order, so the
+    report is deterministic.  A solver failure marks its row and the study
+    continues with the remaining levels.  The L2 rate is flagged when it
+    lies more than ``rate_tol`` from k+1 either way; the downwind rate only
+    when it falls more than ``rate_tol`` short of its expected order, since
+    that order is a lower bound.
     """
     if spec.exact is None:
         raise ValueError("a convergence study needs a problem with an exact solution")
     n_list = [_check_int("n", n, 1) for n in n_list]
     if not n_list:
         raise ValueError("a convergence study needs at least one n")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n values must be strictly increasing, got {n_list}")
+    threads = _check_int("threads", threads, 1)
     options = SolveOptions(k=k)
 
     start = time.perf_counter()
@@ -187,7 +191,7 @@ def run_convergence_study(
         errs = downwind_errors(sol, spec.exact)
         return float(errs[-1]), float(np.max(errs)), l2_error(sol, spec.exact)
 
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(attempt, n_list))
 
     rows: list[StudyRow] = []
@@ -235,7 +239,7 @@ def run_convergence_study(
     )
 
 
-def run_validation(history_trials: int = 2) -> list[tuple[str, float, float, bool]]:
+def run_validation() -> list[tuple[str, float, float, bool]]:
     """Self-checks: (name, max error, tolerance, passed) per check."""
     checks: list[tuple[str, float, float, bool]] = []
 
@@ -268,36 +272,28 @@ def run_validation(history_trials: int = 2) -> list[tuple[str, float, float, boo
 
     betas = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-    # fractional assembly: local matrix against the quadrature oracle
-    err = 0.0
-    for beta in betas:
-        for k in range(6):
-            local = fraccalc.local_frac_matrix(beta, k)
-            scale = np.max(np.abs(local))
-            for q in range(k + 1):
-                for p in range(k + 1):
-                    ref = fraccalc.oracle_frac_entry(beta, np.eye(k + 1)[p], np.eye(k + 1)[q],
-                                                     (0.0, 1.0), (0.0, 1.0))
-                    err = max(err, abs(local[q, p] - ref) / scale)
-    record("frac-local-matrix", err, 1e-10)
+    def rel_err(block, ref):
+        k = block.shape[0] - 1
+        return np.max(np.abs(block - ref[: k + 1, : k + 1])) / np.max(np.abs(block))
 
-    # fractional assembly: history moments against the oracle
-    rng = np.random.default_rng(20240917)
-    err = 0.0
+    # fractional assembly against the quadrature oracle, for k = 0..5: the
+    # local matrix, and the history blocks (one column per source basis
+    # function) of one touching pair (near-field closed form) and one well
+    # separated pair (batched far-field form).  The basis is nested, so the
+    # oracle block of degree 5 holds the one of every lower degree.
+    local_err = hist_err = 0.0
+    pairs = (((0.0, 1.0), (1.0, 1.5)), ((0.0, 0.5), (2.5, 3.0)))
     for beta in betas:
+        local_ref = fraccalc.oracle_frac_block(beta, 5, (0.0, 1.0), (0.0, 1.0))
+        hist_refs = [fraccalc.oracle_frac_block(beta, 5, src, tgt, tol=1e-11) for src, tgt in pairs]
         for k in range(6):
-            # one touching pair (near-field closed form) and one well
-            # separated pair (batched far-field form)
-            for src, tgt in (((0.0, 1.0), (1.0, 1.5)), ((0.0, 0.5), (2.5, 3.0))):
-                for _ in range(history_trials):
-                    coeffs = rng.standard_normal(k + 1)
-                    hist = fraccalc.history_contribution(beta, coeffs, src, tgt)
-                    scale = max(np.max(np.abs(hist)), 1e-30)
-                    for q in range(k + 1):
-                        ref = fraccalc.oracle_frac_entry(beta, coeffs, np.eye(k + 1)[q],
-                                                         src, tgt, tol=1e-11)
-                        err = max(err, abs(hist[q] - ref) / scale)
-    record("frac-history", err, 1e-10)
+            local_err = max(local_err, rel_err(fraccalc.local_frac_matrix(beta, k), local_ref))
+            for (src, tgt), ref in zip(pairs, hist_refs):
+                hist = np.column_stack([fraccalc.history_contribution(beta, e, src, tgt)
+                                        for e in np.eye(k + 1)])
+                hist_err = max(hist_err, rel_err(hist, ref))
+    record("frac-local-matrix", local_err, 1e-10)
+    record("frac-history", hist_err, 1e-10)
 
     # built-in problems: forcing consistency with the stated exact solutions
     err = 0.0

@@ -34,9 +34,10 @@ for degrees used in practice (k <= 5 better than 1e-12 relative); at the
 supported maximum k = 8 adjacent-element entries lose a few more digits to
 cancellation between the two power families but stay near 1e-9.
 
-``oracle_frac_entry`` provides an independent reference value computed by
-singularity-resolving composite quadrature, used to validate the closed
-forms.  It shares no code path with the assembly routines.
+``oracle_frac_block`` provides an independent reference block (all basis
+pairs of one element pair) computed by singularity-resolving composite
+quadrature, used to validate the closed forms.  It shares no code path with
+the assembly routines.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ __all__ = [
     "frac_pairing",
     "frac_integral_eval",
     "rl_derivative_eval",
-    "oracle_frac_entry",
+    "oracle_frac_block",
 ]
 
 #: Element pairs with (h_i + h_j) / (2 * center distance) above this value
@@ -513,15 +514,14 @@ def rl_derivative_eval(mu: float, solution, t: float, field: int = 0) -> float:
 
 def _oracle_disjoint(
     beta: float,
-    p_coeffs: np.ndarray,
-    q_coeffs: np.ndarray,
+    k: int,
     inner: tuple[float, float],
     outer: tuple[float, float],
     m_out: int,
     l_out: int,
     n_in: int,
     l_in: int,
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Tensor quadrature with dyadic refinement toward the touching corner.
 
     The tau grid is refined geometrically toward the inner element's right
@@ -532,8 +532,8 @@ def _oracle_disjoint(
     keeps t - tau > 0 exact even many dyadic levels below machine epsilon
     relative to the absolute times.  The outermost t sliver of width
     h_out * 2**-l_out is dropped; its contribution is O(2**(-l_out*(1+beta)))
-    relative.  Returns (integral, sum of absolute terms); the latter sets the
-    roundoff floor of the former.
+    relative.  Returns the (k+1)x(k+1) block [q, p] of integrals and of sums
+    of absolute terms; the latter sets the roundoff floor of the former.
     """
     a_i, b_i = inner
     a_j, b_j = outer
@@ -563,38 +563,32 @@ def _oracle_disjoint(
     u = np.concatenate(u_off)
     wu = np.concatenate(u_wts)
 
-    kp = p_coeffs.size - 1
-    kq = q_coeffs.size - 1
-    pvals = legendre_table(kp, 1.0 - w / h_i) @ p_coeffs
-    qvals = legendre_table(kq, u / h_j) @ q_coeffs
     kernel = (u[:, None] + gap + w[None, :]) ** (beta - 1.0)
-    left = wu * qvals
-    right = ww * pvals
-    value = float(left @ kernel @ right)
-    mag = float(np.abs(left) @ kernel @ np.abs(right))
-    return value, mag
+    left = wu[:, None] * legendre_table(k, u / h_j)  # weighted test basis phi_q
+    right = ww[:, None] * legendre_table(k, 1.0 - w / h_i)  # weighted source basis phi_p
+    return left.T @ kernel @ right, np.abs(left).T @ kernel @ np.abs(right)
 
 
-def oracle_frac_entry(
+def oracle_frac_block(
     beta: float,
-    p_coeffs: np.ndarray,
-    q_coeffs: np.ndarray,
+    k: int,
     inner_interval: Sequence[float],
     outer_interval: Sequence[float],
     tol: float = 1e-12,
-) -> float:
-    """Reference value of a fractional-integral Galerkin entry by quadrature.
+) -> np.ndarray:
+    """Reference block of fractional-integral Galerkin entries by quadrature.
 
-    Computes int_outer q(t) (I^beta_restricting-to-inner p)(t) dt where p and
-    q are modal polynomials on their own intervals.  Same-interval entries
-    use two nested Gauss-Jacobi rules that are exact for polynomial data.
-    Disjoint intervals use corner-refined composite quadrature at two
-    resolutions; if the two disagree beyond ``tol`` (relative, with a floor
-    at the roundoff level of the computation) an OracleError is raised.
+    Entry [q, p] is int_outer phi_q(t) (I^beta_restricted-to-inner phi_p)(t) dt,
+    with phi_p, phi_q the degree <= k modal basis on their own intervals, so
+    a source with coefficients c gives the moments ``B @ c``.  Same-interval
+    blocks use two nested Gauss-Jacobi rules that are exact for polynomial
+    data.  Disjoint intervals use corner-refined composite quadrature at two
+    resolutions; if the two disagree in any entry beyond ``tol`` (relative,
+    with a floor at the roundoff level of that entry) an OracleError is
+    raised.
     """
     beta = _check_beta(beta)
-    p_coeffs = np.asarray(p_coeffs, dtype=float)
-    q_coeffs = np.asarray(q_coeffs, dtype=float)
+    k = _check_degree(k)
     a_i, b_i = map(float, inner_interval)
     a_j, b_j = map(float, outer_interval)
     if not (b_i > a_i and b_j > a_j):
@@ -604,28 +598,28 @@ def oracle_frac_entry(
     if abs(a_i - a_j) <= 1e-14 * scale and abs(b_i - b_j) <= 1e-14 * scale:
         # same element: exact nested Jacobi quadrature
         h = b_i - a_i
-        kp = p_coeffs.size - 1
-        kq = q_coeffs.size - 1
         inner_rule = gauss_jacobi(MAX_DEGREE + 2, beta - 1.0, 0.0)
         outer_rule = gauss_jacobi(2 * MAX_DEGREE + 2, 0.0, beta)
         x = outer_rule.nodes  # t = a + h*x, weight x**beta built in
-        # inner integral = (t-a)**beta * sum_r w_r p(a + (t-a) v_r)
-        v = inner_rule.nodes
-        sig = x[:, None] * v[None, :]
-        pv = legendre_table(kp, sig.ravel()) @ p_coeffs
-        inner_vals = pv.reshape(sig.shape) @ inner_rule.weights
-        qv = legendre_table(kq, x) @ q_coeffs
-        return float(h ** (1.0 + beta) / gamma_fn(beta) * np.sum(outer_rule.weights * qv * inner_vals))
+        # inner integral = (t-a)**beta * sum_r w_r phi_p(a + (t-a) v_r)
+        sig = x[:, None] * inner_rule.nodes[None, :]
+        pv = legendre_table(k, sig.ravel()).reshape(*sig.shape, k + 1)
+        inner_vals = inner_rule.weights @ pv  # (outer node, p)
+        qv = outer_rule.weights[:, None] * legendre_table(k, x)
+        return h ** (1.0 + beta) / gamma_fn(beta) * (qv.T @ inner_vals)
 
     if b_i > a_j + 1e-12 * scale:
         raise ValueError("inner interval must precede the outer interval")
 
-    i1, mag1 = _oracle_disjoint(beta, p_coeffs, q_coeffs, (a_i, b_i), (a_j, b_j), 18, 48, 20, 56)
-    i2, mag2 = _oracle_disjoint(beta, p_coeffs, q_coeffs, (a_i, b_i), (a_j, b_j), 26, 54, 24, 62)
-    est = abs(i1 - i2)
+    i1, mag1 = _oracle_disjoint(beta, k, (a_i, b_i), (a_j, b_j), 18, 48, 20, 56)
+    i2, mag2 = _oracle_disjoint(beta, k, (a_i, b_i), (a_j, b_j), 26, 54, 24, 62)
+    est = np.abs(i1 - i2)
     # the sum of absolute terms bounds roundoff accumulation in the tensor
     # contraction; entries below that level are certified as numerical zeros
-    floor = 1e-13 * max(mag1, mag2)
-    if est > max(tol * max(abs(i1), abs(i2)), floor):
-        raise OracleError(f"reference quadrature uncertain: estimate {est:.3e} for value {i2:.6e}")
+    floor = 1e-13 * np.maximum(mag1, mag2)
+    bad = est > np.maximum(tol * np.maximum(np.abs(i1), np.abs(i2)), floor)
+    if np.any(bad):
+        q, p = np.argwhere(bad)[0]
+        raise OracleError(f"reference quadrature uncertain at entry ({q}, {p}): "
+                          f"estimate {est[q, p]:.3e} for value {i2[q, p]:.6e}")
     return i2 / gamma_fn(beta)

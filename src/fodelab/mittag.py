@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from .fraccalc import frac_integral_eval, rl_derivative_eval
 from .ldgsolver import SolveOptions, march
-from .polybasis import _check_int
+from .polybasis import MAX_DEGREE, _check_int
 from .problem import build_mesh, linear_model
 
 __all__ = ["MlfQuery", "mlf_series", "mlf_solve"]
@@ -54,8 +54,8 @@ class MlfQuery:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        for name, low in (("sample_count", 1), ("n", 1), ("k", 0)):
-            _check_int(name, getattr(self, name), low)
+        for name, low, high in (("sample_count", 1, None), ("n", 1, None), ("k", 0, MAX_DEGREE)):
+            _check_int(name, getattr(self, name), low, high)
 
 
 def mlf_series(alpha: float, beta: float, z: float, tol: float = 1e-12) -> float:

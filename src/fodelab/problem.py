@@ -63,10 +63,6 @@ class Mesh:
     def horizon(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
     def interval(self, j: int) -> tuple[float, float]:
         return float(self.nodes[j]), float(self.nodes[j + 1])
 
@@ -358,10 +354,11 @@ def load_problem_config(source) -> dict:
     """Problem setup from a JSON file path, file object, or dict.
 
     Keys: alpha (required), forcing (builtin name, required), and optional
-    m, T, initial, n, k.  T and initial override the builtin's defaults;
-    m, when given, must agree with the builtin's structure; n, k and m
-    must be integers.  Returns a dict with the ProblemSpec under "spec"
-    plus resolved n and k.
+    m, T, initial, n, k.  T and initial override the builtin's defaults
+    (its exact solution is kept only for its own initial values and a T
+    within its horizon); m, when given, must agree with the builtin's
+    structure; n, k and m must be integers.  Returns a dict with the
+    ProblemSpec under "spec" plus resolved n and k.
     """
     cfg = _read_config(source)
     unknown = set(cfg) - {"alpha", "m", "T", "initial", "forcing", "n", "k"}
@@ -379,7 +376,8 @@ def load_problem_config(source) -> dict:
     horizon = float(cfg.get("T", spec.horizon))
     initial = tuple(float(v) for v in cfg.get("initial", spec.initial))
     if horizon != spec.horizon or initial != spec.initial:
-        covered = horizon <= spec.horizon  # the stated solution holds on (0, T] only
+        # the stated solution holds on (0, T] only, and for its own initial values
+        covered = horizon <= spec.horizon and initial == spec.initial
         spec = replace(
             spec, initial=initial, horizon=horizon,
             exact=spec.exact if covered else None,

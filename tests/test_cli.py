@@ -157,6 +157,16 @@ def test_solve_command_config_file(tmp_path):
     assert code == EXIT_OK
 
 
+def test_solve_config_with_other_initial_has_no_exact(tmp_path, capsys):
+    # L1's stated solution 1 + t**5 starts at x(0) = 1, so x(0) = 2 has none
+    cfg = tmp_path / "problem.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "forcing": "L1", "initial": [2.0], "n": 4, "k": 1}))
+    assert cli.main(["solve", "--config", str(cfg)]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "t,value"
+    assert len(lines) == 5
+
+
 def test_solve_command_rejects_bad_input(tmp_path, capsys):
     assert cli.main(["solve", "--problem", "L1", "--alpha", "0"]) == EXIT_BAD_INPUT
     assert "alpha" in capsys.readouterr().err
@@ -195,6 +205,26 @@ def test_converge_command_writes_reports(tmp_path, capsys):
     assert "rate_dw" in summary and "expected 2.5" in summary
 
 
+def test_converge_command_rejects_repeated_n(tmp_path, capsys):
+    # a repeated n gives log(n / n0) = 0 in the pairwise rate
+    code = cli.main(["converge", "--problem", "L1", "--alphas", "0.5",
+                     "--ks", "1", "--ns", "8,8", "--out-dir", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "strictly increasing" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_convergence_study(builtin_problem("L1", 0.5), 1, [16, 8])
+
+
+def test_converge_command_rejects_bad_threads(tmp_path, capsys):
+    code = cli.main(["converge", "--problem", "L1", "--alphas", "0.5",
+                     "--ks", "1", "--ns", "8,16", "--out-dir", str(tmp_path),
+                     "--threads", "0"])
+    assert code == EXIT_BAD_INPUT
+    assert "threads must be" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="threads must be"):
+        run_convergence_study(builtin_problem("L1", 0.5), 1, [8, 16], threads=2.7)
+
+
 def test_mlf_command_with_series_check(tmp_path):
     out = tmp_path / "mlf.csv"
     code = cli.main(["mlf", "--alpha", "0.5", "--beta", "1", "--A", "-1",
@@ -214,7 +244,7 @@ def test_mlf_command_rejects_bad_query():
 
 
 def test_validation_suite_passes():
-    checks = run_validation(history_trials=1)
+    checks = run_validation()
     names = [c[0] for c in checks]
     assert "basis-orthogonality" in names
     assert "stiffness-parts-identity" in names
@@ -229,17 +259,16 @@ def test_validation_catches_stiffness_sign_flip(monkeypatch):
 
     orig = polybasis.stiffness_matrix
     monkeypatch.setattr(polybasis, "stiffness_matrix", lambda k: -orig(k))
-    checks = {c[0]: c for c in run_validation(history_trials=1)}
+    checks = {c[0]: c for c in run_validation()}
     assert not checks["stiffness-parts-identity"][3]
     # exit code wiring: any failing check must surface as exit 1
-    monkeypatch.setattr(cli, "run_validation",
-                        lambda history_trials=2: list(checks.values()))
+    monkeypatch.setattr(cli, "run_validation", lambda: list(checks.values()))
     assert cli.main(["validate"]) == EXIT_VALIDATION
 
 
 def test_validate_command_reports_pass_lines(monkeypatch, capsys):
     canned = [("basis-orthogonality", 1e-15, 1e-12, True)]
-    monkeypatch.setattr(cli, "run_validation", lambda history_trials=2: canned)
+    monkeypatch.setattr(cli, "run_validation", lambda: canned)
     assert cli.main(["validate"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("PASS") and "basis-orthogonality" in out

@@ -68,12 +68,8 @@ def test_local_frac_matrix_vs_oracle():
         for k in (0, 2, 5):
             m = fc.local_frac_matrix(beta, k)
             interval = (0.0, 1.0)
-            for p in range(k + 1):
-                for q in range(k + 1):
-                    ep = np.zeros(k + 1); ep[p] = 1.0
-                    eq = np.zeros(k + 1); eq[q] = 1.0
-                    ref = fc.oracle_frac_entry(beta, ep, eq, interval, interval)
-                    np.testing.assert_allclose(m[q, p], ref, rtol=1e-11, atol=1e-13)
+            ref = fc.oracle_frac_block(beta, k, interval, interval)
+            np.testing.assert_allclose(m, ref, rtol=1e-11, atol=1e-13)
 
 
 def test_phi_power_moment_hand_values():
@@ -136,9 +132,7 @@ def test_history_near_vs_oracle():
             c = rng.standard_normal(k + 1)
             src, tgt = (0.3, 0.7), (0.7, 1.1)  # adjacent, equal width
             h = fc.history_contribution(beta, c, src, tgt)
-            ref = np.array([
-                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
-            ])
+            ref = fc.oracle_frac_block(beta, k, src, tgt) @ c
             np.testing.assert_allclose(h, ref, rtol=0, atol=1e-11 * np.max(np.abs(ref)))
 
 
@@ -149,9 +143,7 @@ def test_history_near_unequal_widths_vs_oracle():
     for beta in (0.4, 1.0):
         for src, tgt in [((0.0, 0.1), (0.1, 0.5)), ((0.0, 0.4), (0.4, 0.5)), ((0.2, 0.5), (0.6, 1.4))]:
             h = fc.history_contribution(beta, c, src, tgt)
-            ref = np.array([
-                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
-            ])
+            ref = fc.oracle_frac_block(beta, k, src, tgt) @ c
             np.testing.assert_allclose(h, ref, rtol=0, atol=2e-11 * np.max(np.abs(ref)))
 
 
@@ -162,9 +154,7 @@ def test_history_far_vs_oracle():
             c = rng.standard_normal(k + 1)
             src, tgt = (0.0, 0.5), (2.5, 3.0)  # theta = 1/5, far branch
             h = fc.history_contribution(beta, c, src, tgt)
-            ref = np.array([
-                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
-            ])
+            ref = fc.oracle_frac_block(beta, k, src, tgt) @ c
             np.testing.assert_allclose(h, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -179,9 +169,7 @@ def test_history_regimes_agree_at_threshold():
             src = (0.0, 1.0)
             tgt = (dist, dist + 1.0)
             h = fc.history_contribution(beta, c, src, tgt)
-            ref = np.array([
-                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
-            ])
+            ref = fc.oracle_frac_block(beta, k, src, tgt) @ c
             # the near form's two power families cancel to ~1e4x the entry
             # size this close to the switch, so allow a few lost digits
             np.testing.assert_allclose(h, ref, rtol=0, atol=3e-10 * np.max(np.abs(ref)))
@@ -229,9 +217,7 @@ def test_far_history_truncation_at_each_rung():
         for beta in (0.2, 0.95, 1.5):
             c = rng.standard_normal(k + 1)
             got = fc.far_history_sum(beta, tgt, [src] * copies, np.tile(c / copies, (copies, 1)))
-            ref = np.array([
-                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
-            ])
+            ref = fc.oracle_frac_block(beta, k, src, tgt) @ c
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -254,9 +240,7 @@ def test_uniform_far_table_matches_oracle():
             assert _table_calls() == calls + 1
             block = fc._uniform_far_table(beta, k, 256)[d].reshape(k + 1, k + 1).T
             np.testing.assert_array_equal(got, block @ c)
-            ref = np.array([
-                fc.oracle_frac_entry(beta, c, _unit(q, k), src, tgt) for q in range(k + 1)
-            ])
+            ref = fc.oracle_frac_block(beta, k, src, tgt) @ c
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -311,12 +295,6 @@ def test_beta_continuity_at_one():
     a = fc.history_contribution(1.0 - 1e-9, c, (0.0, 1.0), (1.0, 2.0))
     b = fc.history_contribution(1.0, c, (0.0, 1.0), (1.0, 2.0))
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-7)
-
-
-def _unit(q, k):
-    e = np.zeros(k + 1)
-    e[q] = 1.0
-    return e
 
 
 class _FakeSolution:
@@ -451,10 +429,17 @@ def test_frac_pairing_matches_pairwise_history():
 def test_oracle_same_interval_hand_value():
     # [DERIVED] beta=0.5, p=q=1 on [0,1]:
     # int_0^1 I^0.5[1](t) dt = int_0^1 t^0.5/Gamma(1.5) dt = 2/(3*Gamma(1.5))
-    val = fc.oracle_frac_entry(0.5, np.array([1.0]), np.array([1.0]), (0.0, 1.0), (0.0, 1.0))
-    np.testing.assert_allclose(val, 2.0 / (3.0 * math.gamma(1.5)), rtol=1e-13)
+    val = fc.oracle_frac_block(0.5, 0, (0.0, 1.0), (0.0, 1.0))
+    np.testing.assert_allclose(val, [[2.0 / (3.0 * math.gamma(1.5))]], rtol=1e-13)
 
 
 def test_oracle_rejects_overlapping():
     with pytest.raises(ValueError):
-        fc.oracle_frac_entry(0.5, np.array([1.0]), np.array([1.0]), (0.0, 1.0), (0.8, 1.8))
+        fc.oracle_frac_block(0.5, 0, (0.0, 1.0), (0.8, 1.8))
+
+
+def test_oracle_refuses_uncertifiable_block():
+    # at beta = 0.1 the two resolutions of the adjacent k = 5 block differ
+    # by 7.6e-15 in an entry of size 7.1e-3, past the default relative 1e-12
+    with pytest.raises(fc.OracleError):
+        fc.oracle_frac_block(0.1, 5, (0.3, 0.7), (0.7, 1.1))

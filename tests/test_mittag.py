@@ -55,9 +55,9 @@ def test_query_validation():
         mlf_solve(MlfQuery(alpha=2.5, beta=1.0))
     with pytest.raises(ValueError):
         mlf_solve(MlfQuery(alpha=0.5, beta=1.0, t_max=1.0), times=[0.5, 2.0])
-    # counts must be integers, rejected at construction with the argument named
+    # counts must be integers in range, rejected at construction with the argument named
     for name, value in (("sample_count", 3.5), ("n", 16.5), ("k", 2.5), ("n", 0), ("k", -1),
-                        ("n", True), ("sample_count", True)):
+                        ("n", True), ("sample_count", True), ("k", 9)):
         with pytest.raises(ValueError, match=name):
             MlfQuery(alpha=0.5, beta=1.0, **{name: value})
 

@@ -31,7 +31,7 @@ def test_build_mesh_uniform():
     np.testing.assert_allclose(mesh.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert mesh.n == 4
     assert mesh.horizon == 2.0
-    np.testing.assert_allclose(mesh.widths, 0.5)
+    np.testing.assert_allclose(np.diff(mesh.nodes), 0.5)
 
 
 def test_build_mesh_graded():
