@@ -29,10 +29,11 @@ MULTIPOLE_TERMS).  The switch lives here only: ``_element_history`` splits
 the history of one element into one batched far-field sum plus near-field
 terms for the LDG march and ``frac_pairing``; point evaluation
 (``frac_integral_eval``, ``rl_derivative_eval``) applies the same separation
-with the evaluation time as a target of width 0.  Entries are fully accurate
-for degrees used in practice (k <= 5 better than 1e-12 relative); at the
-supported maximum k = 8 adjacent-element entries lose a few more digits to
-cancellation between the two power families but stay near 1e-9.
+with the evaluation time as a target of width 0.  Near-field accuracy
+depends on k and on the width ratio rho = target width / source width
+(cancellation between the two power families): against the oracle at
+beta = 0.5 the worst error relative to the block is 3e-13 at k = 2, rho = 1,
+but 2e-5 at k = 4, rho = 16 and 2e-1 at k = 6, rho = 16 (ROADMAP item 4).
 
 ``oracle_frac_block`` provides an independent reference block (all basis
 pairs of one element pair) computed by singularity-resolving composite
@@ -479,22 +480,22 @@ def _conv_eval(nu: float, nodes: np.ndarray, coeffs: np.ndarray, t: float, diffe
     return total + float(np.sum(h[far] * dist[far] ** (pw - 1.0) * terms.sum(axis=1))) / gamma_fn(nu)
 
 
-def _solution_field(solution, field: int) -> tuple[np.ndarray, np.ndarray]:
+def _solution_field(solution) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.asarray(solution.mesh.nodes, dtype=float)
     coeffs = np.asarray(solution.coeffs, dtype=float)
     if coeffs.ndim == 2:
         coeffs = coeffs[:, None, :]
-    return nodes, coeffs[:, field, :]
+    return nodes, coeffs[:, 0, :]
 
 
-def frac_integral_eval(beta: float, solution, t: float, field: int = 0) -> float:
-    """(I^beta x)(t) for one field of a piecewise-polynomial solution."""
+def frac_integral_eval(beta: float, solution, t: float) -> float:
+    """(I^beta x)(t) for field 0 of a piecewise-polynomial solution."""
     beta = _check_beta(beta)
-    nodes, coeffs = _solution_field(solution, field)
+    nodes, coeffs = _solution_field(solution)
     return _conv_eval(beta, nodes, coeffs, float(t), differentiate=False)
 
 
-def rl_derivative_eval(mu: float, solution, t: float, field: int = 0) -> float:
+def rl_derivative_eval(mu: float, solution, t: float) -> float:
     """Riemann-Liouville derivative of order mu in [0, 1):  d/dt I^(1-mu) x.
 
     mu = 0 reduces to evaluating the field itself at t.  The far-field
@@ -504,7 +505,7 @@ def rl_derivative_eval(mu: float, solution, t: float, field: int = 0) -> float:
     mu = float(mu)
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"derivative order must lie in [0, 1), got {mu}")
-    nodes, coeffs = _solution_field(solution, field)
+    nodes, coeffs = _solution_field(solution)
     return _conv_eval(1.0 - mu, nodes, coeffs, float(t), differentiate=True)
 
 

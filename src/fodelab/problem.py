@@ -174,17 +174,17 @@ class PiecewisePoly:
         j = int(np.searchsorted(nodes, t, side="left")) - 1
         return min(max(j, 0), self.mesh.n - 1)
 
-    def __call__(self, t, field: int = 0):
+    def __call__(self, t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(tt)
         for i, ti in enumerate(tt):
             j = self._element_of(ti)
-            out[i] = eval_poly(self.coeffs[j, field], self.mesh.interval(j), ti)
+            out[i] = eval_poly(self.coeffs[j, 0], self.mesh.interval(j), ti)
         return out if np.ndim(t) else float(out[0])
 
-    def downwind_values(self, field: int = 0) -> np.ndarray:
-        """Traces X(t_j^-) at the right end of each element, j = 1..n."""
-        return self.coeffs[:, field, :].sum(axis=1)
+    def downwind_values(self) -> np.ndarray:
+        """Traces X(t_j^-) of field 0 at the right end of each element, j = 1..n."""
+        return self.coeffs[:, 0, :].sum(axis=1)
 
 
 def _poly_from_monomials(mono: Sequence[float]) -> Callable:
@@ -322,7 +322,10 @@ def linear_model(alpha: float, a: float, b: float, initial: Sequence[float], hor
     )
 
 
-def verify_forcing(spec: ProblemSpec, samples: int = 100) -> float:
+_FORCING_SAMPLES = 100
+
+
+def verify_forcing(spec: ProblemSpec) -> float:
     """Max residual of the exact solution in the stated equation.
 
     Uses the closed-form Caputo power rule on the exact solution's monomial
@@ -333,7 +336,7 @@ def verify_forcing(spec: ProblemSpec, samples: int = 100) -> float:
     if spec.exact_monomials is None:
         raise ValueError("verify_forcing needs a polynomial exact solution")
     mono = np.asarray(spec.exact_monomials, dtype=float)
-    t = np.linspace(spec.horizon / samples, spec.horizon, samples)
+    t = np.linspace(spec.horizon / _FORCING_SAMPLES, spec.horizon, _FORCING_SAMPLES)
     frac = np.zeros_like(t)
     for j, cj in enumerate(mono):
         if cj != 0.0:

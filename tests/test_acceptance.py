@@ -169,7 +169,8 @@ def test_07_dissipativity():
             logged.append(f"a={alpha:g},n={mesh.n}: e0^2={rep.initial_sq:.3e} "
                           f"eT^2={rep.final_sq:.3e} jumps={rep.jump_sum:.3e} "
                           f"frac={rep.frac_term:.3e} resid={rep.identity_residual:.1e}")
-            if not (rep.final_sq <= rep.initial_sq and rep.dissipative):
+            if not (rep.final_sq <= rep.initial_sq and rep.dissipative
+                    and rep.identity_residual <= 1e-14 * rep.initial_sq):
                 failures.append(logged[-1])
     ok = not failures
     _line(7, ok, "perturbation energy never grows (A=-1); "

@@ -237,6 +237,7 @@ def test_energy_identity_is_exact():
         report = energy_diagnostic(spec, mesh, SolveOptions(k=2))
         assert isinstance(report, EnergyReport)
         assert report.identity_residual < 1e-13
+        assert report.identity_residual <= 1e-14 * report.initial_sq
         assert report.q_form >= 0.0
         assert report.dissipative
         assert report.final_sq < report.initial_sq
@@ -246,7 +247,32 @@ def test_energy_identity_integer_order():
     spec = linear_model(1.0, -1.5, 0.0, (1.0,), 1.0)
     report = energy_diagnostic(spec, build_mesh(9, 1.0), SolveOptions(k=1))
     assert report.identity_residual < 1e-13
+    assert report.identity_residual <= 1e-14 * report.initial_sq
     assert report.dissipative
+
+
+def test_energy_identity_on_fine_graded_mesh():
+    spec = builtin_problem("L1", 0.601)
+    mesh = build_mesh(128, spec.horizon, grading=2.0)
+    for k in (1, 2):
+        report = energy_diagnostic(spec, mesh, SolveOptions(k=k))
+        assert report.identity_residual <= 1e-14 * report.initial_sq
+        assert report.dissipative
+
+
+def test_energy_diagnostic_marches_once(monkeypatch):
+    specs = []
+
+    def counting_march(spec, mesh, options=None):
+        specs.append(spec)
+        return march(spec, mesh, options)
+
+    monkeypatch.setattr(ldgsolver, "march", counting_march)
+    energy_diagnostic(builtin_problem("L1", 0.5), build_mesh(8, 1.0), SolveOptions(k=2))
+    assert len(specs) == 1
+    # the homogeneous problem: f = A x, starting from the perturbation
+    assert specs[0].f(np.array([3.0]), np.array([0.5]))[0] == -6.0
+    assert specs[0].initial == (ldgsolver._ENERGY_PERTURBATION,)
 
 
 def test_energy_diagnostic_requires_linear_scalar_problem():
@@ -254,4 +280,14 @@ def test_energy_diagnostic_requires_linear_scalar_problem():
         energy_diagnostic(builtin_problem("N1", 0.5), build_mesh(4, 0.5))
     with pytest.raises(ValueError):
         energy_diagnostic(linear_model(1.5, -1.0, 0.0, (1.0, 0.0), 1.0), build_mesh(4, 1.0))
+
+
+def test_energy_diagnostic_rejects_time_varying_coefficient():
+    spec = ProblemSpec(
+        name="varying", alpha=0.5, f=lambda x, t: -(1.0 + 3.0 * t) * x,
+        df_dx=lambda x, t: -(1.0 + 3.0 * np.asarray(t, dtype=float)),
+        initial=(1.0,), horizon=1.0, linear=True,
+    )
+    with pytest.raises(ValueError, match="constant in time"):
+        energy_diagnostic(spec, build_mesh(32, 1.0), SolveOptions(k=2))
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
 from fodelab.mittag import MlfQuery, mlf_series, mlf_solve
 
@@ -100,3 +101,40 @@ def test_solve_at_zero_returns_limit():
         query = MlfQuery(alpha=0.5, beta=beta, t_max=1.0, n=8, k=1)
         _, values = mlf_solve(query, times=[0.0])
         assert values[0] == pytest.approx(expected, rel=1e-14)
+
+
+def _large_argument_reference(alpha, beta, z, terms=12):
+    """E_{alpha,beta}(z) = -sum_{k=1}^{terms} z^(-k) / Gamma(beta - alpha k) for alpha < 1, z << 0.
+
+    For alpha < 1 and real negative z the expansion has no exponential
+    term.  Returns None unless the last nonzero term is below 1e-12 of the
+    sum (a term vanishes where beta - alpha k is a pole of Gamma).
+    """
+    k = np.arange(1, terms + 1)
+    series = -(z ** -k.astype(float)) * rgamma(beta - alpha * k)
+    total = float(series.sum())
+    last = series[np.nonzero(series)[0][-1]]
+    return total if abs(last) < 1e-12 * abs(total) else None
+
+
+# worst relative error at A = -50, t_max = 2, n = 256, k = 3 (11 samples; 7-8 of them at z <= -40)
+_FAR_MEASURED = {
+    (0.3, 0.5): 1.3e-8, (0.3, 1.0): 1.4e-10, (0.3, 1.5): 1.1e-9,
+    (0.5, 0.5): 1.1e-6, (0.5, 1.0): 2.0e-10, (0.5, 1.5): 3.6e-10,
+    (0.8, 0.5): 1.4e-8, (0.8, 1.0): 7.5e-10, (0.8, 1.5): 1.8e-11,
+}
+
+
+@pytest.mark.parametrize("alpha,beta", sorted(_FAR_MEASURED))
+def test_solve_beyond_series_radius(alpha, beta):
+    a_coef = -50.0
+    query = MlfQuery(alpha=alpha, beta=beta, a_coef=a_coef, t_max=2.0, sample_count=11, n=256, k=3)
+    times, values = mlf_solve(query)
+    errors = []
+    for t, value in zip(times, values):
+        z = a_coef * t**alpha
+        ref = _large_argument_reference(alpha, beta, z) if z <= -40.0 else None
+        if ref is not None:
+            errors.append(abs(value - ref) / abs(ref))
+    assert len(errors) >= 6
+    assert max(errors) <= 10.0 * _FAR_MEASURED[alpha, beta]
