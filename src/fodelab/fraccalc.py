@@ -25,9 +25,9 @@ Both are computed in closed form:
 The near/far switch is ``(h_src + h_tgt) / (2 * center_distance) <= 0.35``;
 there the order-40 multipole tail is below 1e-17 relative, while the near
 form keeps its cancellation loss mild (farther sources get lower orders, see
-MULTIPOLE_TERMS).  The switch lives here only: ``_element_history`` splits
-the history of one element into one batched far-field sum plus near-field
-terms for the LDG march and ``frac_pairing``; point evaluation
+MULTIPOLE_TERMS).  The switch lives here only: ``_History``, built once per
+mesh by the LDG march and ``frac_pairing``, splits the history of each
+element into one batched far-field sum plus near-field terms; point evaluation
 (``frac_integral_eval``, ``rl_derivative_eval``) applies the same separation
 with the evaluation time as a target of width 0.  Near-field accuracy
 depends on k and on the width ratio rho = target width / source width
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, inf
 from typing import Sequence
 
 import numpy as np
@@ -296,8 +296,9 @@ def far_history_sum(
     Evaluates the multipole series of all sources of one order at once (one
     matrix product per ladder rung in use; order L keeps both ratio powers
     <= L), which is the O(n^2) hot path of a march; a uniform call reads one
-    cached block per source instead (see _UNIFORM_RTOL).  Every source must
-    satisfy the far-field condition; a ValueError is raised otherwise.
+    cached block per source instead (see _UNIFORM_RTOL).  The target must
+    have positive finite width, and every source positive width and the
+    far-field condition; a ValueError is raised otherwise.
 
     Args:
         beta: integral order in (0, 1.5].
@@ -311,25 +312,29 @@ def far_history_sum(
     beta = _check_beta(beta)
     src = np.atleast_2d(np.asarray(source_intervals, dtype=float))
     c = np.atleast_2d(np.asarray(source_coeffs, dtype=float))
-    if src.shape[0] != c.shape[0]:
-        raise ValueError("one coefficient row per source interval is required")
+    if src.ndim != 2 or src.shape[1] != 2 or c.ndim != 2 or src.shape[0] != c.shape[0]:
+        raise ValueError("source intervals must be (nsrc, 2) and coefficients (nsrc, k+1)")
     k = c.shape[1] - 1
-    if not c.shape[0]:
-        return np.zeros(k + 1)
     a_t, b_t = map(float, target_interval)
     h_t = b_t - a_t
+    if not 0.0 < h_t < inf:
+        raise ValueError("the target interval must have positive finite width")
+    if not c.shape[0]:
+        return np.zeros(k + 1)
     h_s = src[:, 1] - src[:, 0]
     dist = 0.5 * (a_t + b_t) - 0.5 * (src[:, 0] + src[:, 1])
-    theta = _separation(h_s, h_t, dist)
-    if not (dist.min() > 0 and theta.max() <= NEAR_FIELD_THRESHOLD * (1 + 1e-12)):
-        raise ValueError("far_history_sum called with a source outside the far field")
-    if h_t > 0 and np.abs(h_s - h_t).max() <= _UNIFORM_RTOL * h_t:
+    if np.abs(h_s - h_t).max() <= _UNIFORM_RTOL * h_t:
+        # widths this close to h_t are positive, and distances d*h_t with d >= 3 pass the far-field guard
         x = dist / h_t
-        d = np.rint(x)  # the guard leaves d >= 3 on a uniform call
-        rows = max(256, 1 << int(d.max()).bit_length())  # few sizes, so few tables to cache
-        if np.all(np.abs(x - d) <= _UNIFORM_RTOL * d) and rows * (k + 1) ** 2 <= _UNIFORM_TABLE_FLOATS:
-            tab = _uniform_far_table(beta, k, rows)[d.astype(np.intp)]
-            return h_t ** (1.0 + beta) * (c.ravel() @ tab.reshape(-1, k + 1))
+        d = np.rint(x)
+        if d.min() >= 3:
+            rows = max(256, 1 << int(d.max()).bit_length())  # few sizes, so few tables to cache
+            if rows * (k + 1) ** 2 <= _UNIFORM_TABLE_FLOATS and (np.abs(x - d) <= _UNIFORM_RTOL * d).all():
+                tab = _uniform_far_table(beta, k, rows).take(d.astype(np.intp), axis=0)
+                return h_t ** (1.0 + beta) * (c.ravel() @ tab.reshape(-1, k + 1))
+    theta = _separation(h_s, h_t, dist)
+    if not (h_s.min() > 0 and dist.min() > 0 and theta.max() <= NEAR_FIELD_THRESHOLD * (1 + 1e-12)):
+        raise ValueError("far_history_sum called with a reversed source or one outside the far field")
 
     a_ratio = h_t / (2.0 * dist)
     b_ratio = h_s / (2.0 * dist)
@@ -379,8 +384,8 @@ def history_contribution(
     a_s, b_s = map(float, source_interval)
     a_t, b_t = map(float, target_interval)
     h_s, h_t = b_s - a_s, b_t - a_t
-    if h_s <= 0 or h_t <= 0:
-        raise ValueError("intervals must have positive width")
+    if not (0.0 < h_s < inf and 0.0 < h_t < inf):
+        raise ValueError("intervals must have positive finite width")
     scale = max(abs(a_s), abs(b_t), h_s, h_t)
     if b_s > a_t + 1e-12 * scale:
         raise ValueError("source element must precede the target element")
@@ -394,25 +399,42 @@ def history_contribution(
     return h_t * h_s**beta * _near_history(beta, c, s0, s1, rho)
 
 
-def _element_history(beta: float, nodes: np.ndarray, coeffs: np.ndarray, j: int) -> np.ndarray:
-    """History moments on element j of I^beta applied to elements 0..j-1.
+class _History:
+    """History moments of I^beta on the elements of one mesh, from all earlier elements.
 
-    ``coeffs`` holds modal coefficient rows (at least j of them) on the mesh
-    given by ``nodes``.  Well separated sources go through one batched
-    far_history_sum call, the rest through history_contribution one by one.
+    The mesh geometry (intervals, widths, centers) is built once; ``__call__``
+    then takes element j's sources from rows 0..j-1 of ``coeffs``.  Well
+    separated sources go through one batched far_history_sum call (slices
+    when they are a prefix [0, i), as on every ``build_mesh`` mesh, index
+    arrays otherwise), the rest through history_contribution one by one, and
+    the pairs of each kind are counted.
     """
-    widths = np.diff(nodes[: j + 2])
-    centers = 0.5 * (nodes[: j + 1] + nodes[1 : j + 2])
-    target = nodes[j : j + 2]
-    far = _separation(widths[:j], widths[j], centers[j] - centers[:j]) <= NEAR_FIELD_THRESHOLD
-    history = np.zeros(coeffs.shape[-1])
-    if np.any(far):
-        idx = np.nonzero(far)[0]
-        src = np.column_stack([nodes[idx], nodes[idx + 1]])
-        history = history + far_history_sum(beta, target, src, coeffs[idx])
-    for i in np.nonzero(~far)[0]:
-        history = history + history_contribution(beta, coeffs[i], nodes[i : i + 2], target)
-    return history
+
+    def __init__(self, beta: float, nodes: np.ndarray):
+        self.beta = beta
+        self.intervals = np.column_stack([nodes[:-1], nodes[1:]])
+        self.widths = np.diff(nodes)
+        self.centers = 0.5 * (nodes[:-1] + nodes[1:])
+        self.bounds = self.intervals.tolist()
+        self.pairs_near = self.pairs_far = 0
+
+    def __call__(self, coeffs: np.ndarray, j: int) -> np.ndarray:
+        widths, centers = self.widths, self.centers
+        far = _separation(widths[:j], widths[j], centers[j] - centers[:j]) <= NEAR_FIELD_THRESHOLD
+        nfar = int(np.count_nonzero(far))
+        if far[:nfar].all():
+            src, near = slice(nfar), range(nfar, j)
+        else:
+            src, near = np.flatnonzero(far), np.flatnonzero(~far).tolist()
+        target = self.bounds[j]
+        history = np.zeros(coeffs.shape[-1])
+        if nfar:
+            history = history + far_history_sum(self.beta, target, self.intervals[src], coeffs[src])
+        for i in near:
+            history = history + history_contribution(self.beta, coeffs[i], self.bounds[i], target)
+        self.pairs_far += nfar
+        self.pairs_near += len(near)
+        return history
 
 
 def frac_pairing(beta: float, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -435,9 +457,10 @@ def frac_pairing(beta: float, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -
         return float(np.sum(h[:, None] * v * mm[None, :] * u))
     beta = _check_beta(beta)
     mloc = local_frac_matrix(beta, kp1 - 1)
+    history = _History(beta, nodes)
     total = 0.0
     for j in range(n):
-        acc = h[j] ** (1.0 + beta) * (mloc @ u[j]) + _element_history(beta, nodes, u, j)
+        acc = h[j] ** (1.0 + beta) * (mloc @ u[j]) + history(u, j)
         total += float(v[j] @ acc)
     return total
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import fraccalc
 from .polybasis import (
+    MAX_DEGREE,
     _check_degree,
     _gauss_table,
     gauss_legendre,
@@ -90,6 +91,9 @@ _ORIGIN_LEVELS = 36
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 25
 # the scheme is linear, so any offset works; 1e-2 keeps the energies far above roundoff
 _ENERGY_PERTURBATION = 1e-2
+# phi_q(0) = (-1)**q: the basis values at an element's left end, where the inflow enters
+_LEFT_SIGNS = (-1.0) ** np.arange(MAX_DEGREE + 1)
+_LEFT_SIGNS.flags.writeable = False
 
 
 def _quad_context(interval, k: int, order: int):
@@ -131,22 +135,22 @@ def _quad_context(interval, k: int, order: int):
 
 
 class _ElementOperator:
-    """Residual/Jacobian of one element's local system.
+    """Residual and Jacobian of one element's local system.
 
     Unknowns are the stacked modal coefficients y = (c_0, ..., c_{F-1}).
     Chain rows are affine; only the model row depends (possibly nonlinearly,
-    through the forcing) on c_0.
+    through the forcing) on c_0.  The chain and memory blocks depend on the
+    element only through its width, so a march passes one ``blocks`` dict
+    that keeps them, read-only, per exact width.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh, j: int, history: np.ndarray,
-                 inflow: np.ndarray, options: SolveOptions):
+                 inflow: np.ndarray, options: SolveOptions, blocks: dict | None = None):
         k = options.k
         kp1 = k + 1
         nfields = spec.field_count
         interval = mesh.interval(j)
         h = interval[1] - interval[0]
-        p = math.ceil(spec.alpha)
-        beta = spec.frac_order
 
         self.spec = spec
         self.kp1 = kp1
@@ -154,30 +158,18 @@ class _ElementOperator:
         # forcing and damping moments use k+3 Gauss points (more near t = 0)
         t, w, tab = _quad_context(interval, k, k + 3)
 
-        z = (-1.0) ** np.arange(kp1)
-        chain_own = stiffness_matrix(k) - np.ones((kp1, kp1))
-        mass = h * mass_matrix(k)
-
-        base = np.zeros((self.size, self.size))
-        rhs = np.zeros(self.size)
-        for i in range(nfields - 1):
-            r = slice(i * kp1, (i + 1) * kp1)
-            c_next = slice((i + 1) * kp1, (i + 2) * kp1)
-            base[r, r] += chain_own
-            base[r, c_next] += mass
-            rhs[i * kp1:(i + 1) * kp1] = -inflow[i] * z
-
+        blocks = {} if blocks is None else blocks
+        base = blocks.get(h)
+        if base is None:
+            base = blocks[h] = _fixed_blocks(spec, k, h)
         rf = slice((nfields - 1) * kp1, nfields * kp1)
-        cp = slice(p * kp1, (p + 1) * kp1)
-        if beta == 0.0:
-            memory = mass
-        else:
-            memory = h ** (1.0 + beta) * fraccalc.local_frac_matrix(beta, k)
-        base[rf, cp] += memory
         if spec.m >= 1:
             cm = slice(spec.m * kp1, (spec.m + 1) * kp1)
             wd = w * np.asarray(spec.d(t), dtype=float)
+            base = base.copy()
             base[rf, cm] += tab.T @ (wd[:, None] * tab)
+        rhs = np.zeros(self.size)
+        rhs[: rf.start] = np.outer(-inflow, _LEFT_SIGNS[:kp1]).ravel()
         rhs[rf] -= history
 
         self.base = base
@@ -185,42 +177,51 @@ class _ElementOperator:
         self.rf = rf
         self.t_quad, self.w_quad, self.tab_quad = t, w, tab
 
-    def residual(self, y: np.ndarray) -> np.ndarray:
-        c0 = y[: self.kp1]
-        x = self.tab_quad @ c0
-        fmom = self.tab_quad.T @ (self.w_quad * np.asarray(self.spec.f(x, self.t_quad), dtype=float))
-        r = self.base @ y - self.base_rhs
-        r[self.rf] -= fmom
-        return r
-
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
-        c0 = y[: self.kp1]
-        x = self.tab_quad @ c0
-        if self.spec.df_dx is not None:
-            slope = np.asarray(self.spec.df_dx(x, self.t_quad), dtype=float)
+    def linearize(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Jacobian, residual) of the local system at y."""
+        kp1, spec, t, tab = self.kp1, self.spec, self.t_quad, self.tab_quad
+        x = tab @ y[:kp1]
+        if spec.df_dx is not None:
+            slope = np.asarray(spec.df_dx(x, t), dtype=float)
         else:
             step = 1e-7 * (1.0 + np.abs(x))
-            slope = (np.asarray(self.spec.f(x + step, self.t_quad), dtype=float)
-                     - np.asarray(self.spec.f(x - step, self.t_quad), dtype=float)) / (2.0 * step)
+            slope = (np.asarray(spec.f(x + step, t), dtype=float)
+                     - np.asarray(spec.f(x - step, t), dtype=float)) / (2.0 * step)
         jac = self.base.copy()
-        jac[self.rf, : self.kp1] -= self.tab_quad.T @ ((self.w_quad * slope)[:, None] * self.tab_quad)
-        return jac
+        jac[self.rf, :kp1] -= tab.T @ ((self.w_quad * slope)[:, None] * tab)
+        res = self.base @ y - self.base_rhs
+        res[self.rf] -= tab.T @ (self.w_quad * np.asarray(spec.f(x, t), dtype=float))
+        return jac, res
 
 
-def _equilibrated_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(a), axis=1)
+def _fixed_blocks(spec: ProblemSpec, k: int, h: float) -> np.ndarray:
+    """Chain and memory blocks of an element of width h, read-only."""
+    kp1 = k + 1
+    nfields = spec.field_count
+    p = math.ceil(spec.alpha)
+    beta = spec.frac_order
+    chain_own = stiffness_matrix(k) - np.ones((kp1, kp1))
+    mass = h * mass_matrix(k)
+    base = np.zeros((nfields * kp1, nfields * kp1))
+    for i in range(nfields - 1):
+        r = slice(i * kp1, (i + 1) * kp1)
+        base[r, r] += chain_own
+        base[r, (i + 1) * kp1:(i + 2) * kp1] += mass
+    memory = mass if beta == 0.0 else h ** (1.0 + beta) * fraccalc.local_frac_matrix(beta, k)
+    base[(nfields - 1) * kp1:, p * kp1:(p + 1) * kp1] += memory
+    base.flags.writeable = False
+    return base
+
+
+def _equilibrate(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The system with each row divided by its largest |entry| (rows of zeros kept)."""
+    scale = np.abs(jac).max(axis=1)
     scale[scale == 0.0] = 1.0
-    return np.linalg.solve(a / scale[:, None], b / scale)
-
-
-def _scaled_norm(a: np.ndarray, r: np.ndarray) -> float:
-    scale = np.max(np.abs(a), axis=1)
-    scale[scale == 0.0] = 1.0
-    return float(np.max(np.abs(r / scale)))
+    return jac / scale[:, None], res / scale
 
 
 def newton_solve(op, guess: np.ndarray) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration on an object with residual/jacobian methods.
+    """Damped Newton iteration on an object whose ``linearize(y)`` returns (Jacobian, residual).
 
     Returns (solution, iterations).  Convergence to ``_NEWTON_TOL`` is
     measured in the row-equilibrated residual max-norm, which makes the
@@ -229,27 +230,21 @@ def newton_solve(op, guess: np.ndarray) -> tuple[np.ndarray, int]:
     accepted (the next iteration then works from the better of the two).
     Raises SolverError after ``_NEWTON_MAX_ITER`` iterations.
     """
-    y = np.asarray(guess, dtype=float).copy()
-    jac = op.jacobian(y)
-    res = op.residual(y)
-    rnorm = _scaled_norm(jac, res)
+    def state(y):
+        a, r = _equilibrate(*op.linearize(y))
+        return y, a, r, float(np.abs(r).max())
+
+    y, a, r, rnorm = state(np.asarray(guess, dtype=float).copy())
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if rnorm <= _NEWTON_TOL:
             return y, it - 1
-        step = _equilibrated_solve(jac, res)
-        y_new = y - step
-        jac_new = op.jacobian(y_new)
-        res_new = op.residual(y_new)
-        rnorm_new = _scaled_norm(jac_new, res_new)
-        if rnorm_new > rnorm:
-            y_half = y - 0.5 * step
-            jac_half = op.jacobian(y_half)
-            res_half = op.residual(y_half)
-            rnorm_half = _scaled_norm(jac_half, res_half)
-            if rnorm_half < rnorm_new:
-                y_new, jac_new, res_new, rnorm_new = y_half, jac_half, res_half, rnorm_half
-        y, jac, res, rnorm = y_new, jac_new, res_new, rnorm_new
-        if not np.all(np.isfinite(y)):
+        step = np.linalg.solve(a, r)
+        new = state(y - step)
+        if new[3] > rnorm:
+            half = state(y - 0.5 * step)
+            new = half if half[3] < new[3] else new
+        y, a, r, rnorm = new
+        if not np.isfinite(y).all():
             raise SolverError("Newton iterate became non-finite")
     if rnorm <= _NEWTON_TOL:
         return y, _NEWTON_MAX_ITER
@@ -276,6 +271,9 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
     n = mesh.n
 
     coeffs = np.zeros((n, nfields, kp1))
+    memory = np.zeros((n, kp1))  # field p, contiguous for the history sums
+    history = fraccalc._History(beta, mesh.nodes) if beta != 0.0 else None
+    blocks = {}
     inflow = np.array(spec.initial, dtype=float)
     prev_down = np.concatenate([inflow, [0.0]])
     signs_sum = np.ones(kp1)
@@ -284,15 +282,11 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
 
     for j in range(n):
         interval = mesh.interval(j)
-        if beta == 0.0:
-            history = np.zeros(kp1)
-        else:
-            history = fraccalc._element_history(beta, mesh.nodes, coeffs[:, p, :], j)
-
-        op = _ElementOperator(spec, mesh, j, history, inflow, options)
+        moments = np.zeros(kp1) if history is None else history(memory, j)
+        op = _ElementOperator(spec, mesh, j, moments, inflow, options, blocks)
         if spec.linear:
-            zero = np.zeros(op.size)
-            y = _equilibrated_solve(op.jacobian(zero), -op.residual(zero))
+            a, r = _equilibrate(*op.linearize(np.zeros(op.size)))
+            y = np.linalg.solve(a, -r)
             iters = 0
         else:
             guess = np.zeros(op.size)
@@ -301,9 +295,10 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
                 y, iters = newton_solve(op, guess)
             except SolverError as exc:
                 raise SolverError(f"element {j} on [{interval[0]:.6g}, {interval[1]:.6g}]: {exc}") from exc
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise SolverError(f"element {j}: non-finite coefficients")
         coeffs[j] = y.reshape(nfields, kp1)
+        memory[j] = coeffs[j, p]
         prev_down = coeffs[j] @ signs_sum
         inflow = prev_down[: nfields - 1]
         total_iters += iters
@@ -315,6 +310,8 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
         "elements": n,
         "k": k,
         "fields": nfields,
+        "history_pairs_near": 0 if history is None else history.pairs_near,
+        "history_pairs_far": 0 if history is None else history.pairs_far,
     }
     return PiecewisePoly(mesh, k, coeffs, info)
 

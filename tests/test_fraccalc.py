@@ -285,6 +285,28 @@ def test_far_history_sum_rejects_near_sources():
         fc.far_history_sum(0.5, (1.0, 2.0), [(0.0, 1.0)], np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("target, sources, coeffs", [
+    ((5.0, 4.0), [(0.0, 1.0)], [[1.0, 0.5]]),  # reversed target
+    ((4.0, 5.0), [(1.0, 0.0)], [[1.0, 0.5]]),  # reversed source
+    ((4.0, 5.0), [(0.5, 0.5)], [[1.0, 0.5]]),  # zero-width source
+    ((4.0, 5.0), [(0.0, 0.5, 1.0)], [[1.0, 0.5]]),  # three endpoints per source
+    ((4.0, 5.0), [(0.0, 1.0)], [[[1.0], [0.5]]]),  # (nsrc, k+1, 1) coefficients
+], ids=["reversed-target", "reversed-source", "zero-width-source", "three-columns", "3d-coeffs"])
+def test_far_history_sum_rejects_malformed_input(target, sources, coeffs):
+    with pytest.raises(ValueError):
+        fc.far_history_sum(0.5, target, sources, np.array(coeffs))
+
+
+@pytest.mark.parametrize("source, target", [
+    ((math.nan, 1.0), (4.0, 5.0)),
+    ((0.0, 1.0), (4.0, math.inf)),
+    ((-math.inf, 1.0), (1.0, 2.0)),
+], ids=["nan-source", "inf-target", "inf-source"])
+def test_history_contribution_rejects_non_finite_endpoints(source, target):
+    with pytest.raises(ValueError):
+        fc.history_contribution(0.5, np.array([1.0, 0.5]), source, target)
+
+
 def test_history_rejects_overlap():
     with pytest.raises(ValueError):
         fc.history_contribution(0.5, np.array([1.0]), (0.0, 1.0), (0.5, 1.5))
@@ -401,19 +423,17 @@ def test_frac_pairing_time_reflection_adjoint():
         np.testing.assert_allclose(lhs, rhs, rtol=1e-11)
 
 
-def test_frac_pairing_matches_pairwise_history():
-    # graded nodes (j/24)^2 give far-field pairs of unequal widths next to
-    # near-field ones, so the batched far sum is checked in both regimes
-    rng = np.random.default_rng(37)
-    n, k = 24, 3
-    nodes = (np.arange(n + 1) / n) ** 2
+def _pairing_against_pairwise(nodes, rng, k=3):
+    """frac_pairing against a sum of per-pair history_contribution calls;
+    returns each element's far mask over the elements before it."""
+    n = nodes.size - 1
     u = rng.standard_normal((n, k + 1))
     v = rng.standard_normal((n, k + 1))
     h = np.diff(nodes)
     centers = 0.5 * (nodes[:-1] + nodes[1:])
-    far = [(h[i] + h[j]) / (2.0 * (centers[j] - centers[i])) <= fc.NEAR_FIELD_THRESHOLD
-           for j in range(n) for i in range(j)]
-    assert 0 < sum(far) < len(far)
+    far = [[(h[i] + h[j]) / (2.0 * (centers[j] - centers[i])) <= fc.NEAR_FIELD_THRESHOLD
+            for i in range(j)] for j in range(n)]
+    assert 0 < sum(map(sum, far)) < n * (n - 1) // 2
     for beta in (0.3, 0.75):
         mloc = fc.local_frac_matrix(beta, k)
         ref = 0.0
@@ -424,6 +444,22 @@ def test_frac_pairing_matches_pairwise_history():
                     beta, u[i], (nodes[i], nodes[i + 1]), (nodes[j], nodes[j + 1]))
             ref += float(v[j] @ acc)
         np.testing.assert_allclose(fc.frac_pairing(beta, nodes, u, v), ref, rtol=1e-13)
+    return far
+
+
+def test_frac_pairing_matches_pairwise_history():
+    # graded nodes (j/24)^2 give far-field pairs of unequal widths next to
+    # near-field ones, so the batched far sum is checked in both regimes
+    _pairing_against_pairwise((np.arange(25) / 24) ** 2, np.random.default_rng(37))
+
+
+def test_frac_pairing_matches_pairwise_history_on_random_widths():
+    # widths log-uniform in [0.01, 1]: some elements have a near source before
+    # a far one, so their far sources are not a prefix of the earlier elements
+    rng = np.random.default_rng(43)
+    nodes = np.concatenate([[0.0], np.cumsum(np.exp(rng.uniform(math.log(0.01), 0.0, 24)))])
+    far = _pairing_against_pairwise(nodes, rng)
+    assert any(not all(row[: sum(row)]) for row in far)
 
 
 def test_oracle_same_interval_hand_value():

@@ -20,6 +20,7 @@ from fodelab.ldgsolver import (
 )
 from fodelab.polybasis import project
 from fodelab.problem import (
+    Mesh,
     PiecewisePoly,
     ProblemSpec,
     build_mesh,
@@ -116,7 +117,7 @@ def test_assembled_residual_consistency():
                 )
             inflow = np.array([spec.exact(mesh.nodes[j])])
             y = fields[j].ravel()
-            residual = _ElementOperator(spec, mesh, j, history, inflow, options).residual(y)
+            residual = _ElementOperator(spec, mesh, j, history, inflow, options).linearize(y)[1]
             res_max = max(res_max, float(np.max(np.abs(residual))))
         worst[n] = res_max
     assert worst[8] < worst[4]
@@ -205,10 +206,8 @@ def test_error_helpers_on_projected_data():
     )
 
 
-def test_march_accounts_for_every_history_pair(monkeypatch):
-    # the bench's trace check: under one march, the history_contribution
-    # calls plus the sources of the far_history_sum calls cover each of the
-    # n(n-1)/2 (source, target) element pairs once, on any mesh
+def _count_history_pairs(monkeypatch) -> dict:
+    """Counts history_contribution calls and far_history_sum sources from now on."""
     pairs = {"near": 0, "far": 0}
     near, far = fraccalc.history_contribution, fraccalc.far_history_sum
 
@@ -222,13 +221,63 @@ def test_march_accounts_for_every_history_pair(monkeypatch):
 
     monkeypatch.setattr(fraccalc, "history_contribution", count_near)
     monkeypatch.setattr(fraccalc, "far_history_sum", count_far)
+    return pairs
+
+
+def _random_mesh(n: int, horizon: float, seed: int) -> Mesh:
+    """Widths drawn log-uniform in [0.01, 1], scaled to the horizon."""
+    widths = np.exp(np.random.default_rng(seed).uniform(math.log(0.01), 0.0, n))
+    return Mesh(np.concatenate([[0.0], np.cumsum(widths)]) * (horizon / widths.sum()))
+
+
+def _non_prefix_targets(nodes: np.ndarray) -> int:
+    """Elements whose far sources are not a prefix of the elements before them."""
+    h = np.diff(nodes)
+    centers = 0.5 * (nodes[:-1] + nodes[1:])
+    count = 0
+    for j in range(h.size):
+        far = (h[:j] + h[j]) / (2.0 * (centers[j] - centers[:j])) <= fraccalc.NEAR_FIELD_THRESHOLD
+        count += not far[: np.count_nonzero(far)].all()
+    return count
+
+
+def test_march_accounts_for_every_history_pair(monkeypatch):
+    # the bench's trace check: under one march, the history_contribution
+    # calls plus the sources of the far_history_sum calls cover each of the
+    # n(n-1)/2 (source, target) element pairs once, on any mesh, including
+    # one whose far sources are not always a prefix; frac_pairing too
+    pairs = _count_history_pairs(monkeypatch)
     spec = builtin_problem("L1", 0.5)
     n = 64
-    for grading in (1.0, 2.0):
+    random = _random_mesh(n, spec.horizon, 7)
+    assert _non_prefix_targets(random.nodes) > 0
+    for mesh in (build_mesh(n, spec.horizon), build_mesh(n, spec.horizon, grading=2.0), random):
         pairs.update(near=0, far=0)
-        march(spec, build_mesh(n, spec.horizon, grading=grading), SolveOptions(k=2))
+        march(spec, mesh, SolveOptions(k=2))
         assert pairs["near"] > 0 and pairs["far"] > 0
         assert pairs["near"] + pairs["far"] == n * (n - 1) // 2
+    pairs.update(near=0, far=0)
+    u = np.random.default_rng(3).standard_normal((n, 3))
+    fraccalc.frac_pairing(0.5, random.nodes, u, u)
+    assert pairs["near"] > 0 and pairs["far"] > 0
+    assert pairs["near"] + pairs["far"] == n * (n - 1) // 2
+
+
+def test_march_info_reports_history_pairs(monkeypatch):
+    # info counts the same pairs as the calls the bench's tracer sees
+    pairs = _count_history_pairs(monkeypatch)
+    n = 48
+    for name, alpha in (("N1", 0.4), ("N4", 1.6)):
+        spec = builtin_problem(name, alpha)
+        for mesh in (build_mesh(n, spec.horizon, grading=2.0), _random_mesh(n, spec.horizon, 11)):
+            pairs.update(near=0, far=0)
+            info = march(spec, mesh, SolveOptions(k=1)).info
+            assert info["history_pairs_near"] == pairs["near"] > 0
+            assert info["history_pairs_far"] == pairs["far"] > 0
+            assert info["history_pairs_near"] + info["history_pairs_far"] == n * (n - 1) // 2
+    # integer order: no memory, no pairs
+    info = march(_poly_problem_alpha1(), build_mesh(5, 1.0), SolveOptions(k=2)).info
+    assert info["history_pairs_near"] == info["history_pairs_far"] == 0
 
 
 def test_energy_identity_is_exact():
