@@ -332,7 +332,7 @@ def _solve_csv(spec, sol, samples: int | None) -> str:
         if samples < 2:
             raise ValueError("--samples must be at least 2")
         times = np.linspace(0.0, sol.mesh.horizon, samples)
-        values = np.array([sol(t) for t in times])
+        values = sol(times)
     for t, v in zip(times, values):
         cells = [_fmt(t), _fmt(v)]
         if has_exact:

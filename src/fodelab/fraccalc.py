@@ -29,7 +29,8 @@ MULTIPOLE_TERMS).  The switch lives here only: ``_History``, built once per
 mesh by the LDG march and ``frac_pairing``, splits the history of each
 element into one batched far-field sum plus near-field terms; point evaluation
 (``frac_integral_eval``, ``rl_derivative_eval``) applies the same separation
-with the evaluation time as a target of width 0.  Near-field accuracy
+with the evaluation time as a target of width 0, to all times of a call in
+one pass.  Near-field accuracy
 depends on k and on the width ratio rho = target width / source width
 (cancellation between the two power families): against the oracle at
 beta = 0.5 the worst error relative to the block is 3e-13 at k = 2, rho = 1,
@@ -102,6 +103,10 @@ _RUNG_MIN_SOURCES = 64
 #: A uniform call differs from the ladder by a few _UNIFORM_RTOL at most,
 #: relative to the sum of the absolute source contributions.
 _UNIFORM_RTOL, _UNIFORM_TABLE_FLOATS = 1e-13, 2**18
+
+#: Evaluation times per pass of point evaluation: its (time, source) arrays
+#: hold at most this many times the element count.
+_EVAL_BLOCK = 64
 
 
 class OracleError(RuntimeError):
@@ -465,13 +470,16 @@ def frac_pairing(beta: float, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -
     return total
 
 
-def _conv_eval(nu: float, nodes: np.ndarray, coeffs: np.ndarray, t: float, differentiate: bool) -> float:
-    """Order-nu fractional integral of a piecewise polynomial at time t > 0,
-    or its first derivative when ``differentiate`` is set."""
+def _conv_eval(nu: float, nodes: np.ndarray, coeffs: np.ndarray, t, differentiate: bool):
+    """Order-nu fractional integral of a piecewise polynomial at the time(s)
+    t > 0, or its first derivative when ``differentiate`` is set; a float for
+    a scalar t, else an array of t's shape."""
     n = nodes.size - 1
-    if not nodes[0] < t <= nodes[-1] * (1 + 1e-12) + 1e-300:
-        raise ValueError(f"evaluation time must lie in ({nodes[0]}, {nodes[-1]}], got {t}")
-    j = min(max(int(np.searchsorted(nodes, t, side="left")) - 1, 0), n - 1)
+    tt = np.asarray(t, dtype=float).ravel()
+    bad = tt[~((nodes[0] < tt) & (tt <= nodes[-1] * (1 + 1e-12) + 1e-300))]
+    if bad.size:
+        raise ValueError(f"evaluation time must lie in ({nodes[0]}, {nodes[-1]}], got {bad[0]}")
+    js = np.clip(np.searchsorted(nodes, tt, side="left") - 1, 0, n - 1)
     ks = coeffs.shape[1] - 1
     ls = np.arange(MULTIPOLE_TERMS + 1)
     tab = _near_table(nu, ks)
@@ -480,27 +488,40 @@ def _conv_eval(nu: float, nodes: np.ndarray, coeffs: np.ndarray, t: float, diffe
     if differentiate:
         # d/dt (t-a)**g = g (t-a)**(g-1) and d/dt dist**(nu-1-l) = (nu-1-l) dist**(nu-2-l)
         cfi, gam, pw, fl = cfi * gam, gam - 1.0, nu - 1.0, nu - 1.0 - ls
-    a, b = nodes[: j + 1], nodes[1 : j + 2]
-    h = b - a
-    dist = t - 0.5 * (a + b)
-    ratio = _separation(h[:j], 0.0, dist[:j])  # t is a target of width 0
-    # the element containing t joins the near sources, its part past t cut off
-    near = np.append(ratio > NEAR_FIELD_THRESHOLD, True)
+    a, b = nodes[:-1], nodes[1:]
+    h, centers = b - a, 0.5 * (a + b)
+    mono = coeffs @ tab.mono.T
+    # per source: power-rule weights about its left and right endpoints, and
+    # multipole weights (row l) of the series in the positive ratio
+    left, right = mono * cfi, mono @ tab.shift * cfi
+    far_w = (_far_kernel_table(nu)[0] * (coeffs @ _p_table(ks)) * fl).T
+    out = np.empty(tt.size)
+    for lo in range(0, tt.size, _EVAL_BLOCK):
+        tb, jb = tt[lo : lo + _EVAL_BLOCK], js[lo : lo + _EVAL_BLOCK]
+        ti, si = np.nonzero(np.arange(n) < jb[:, None])  # (time, earlier source) pairs
+        dist = tb[ti] - centers[si]
+        ratio = _separation(h[si], 0.0, dist)  # t is a target of width 0
+        far = ~(ratio > NEAR_FIELD_THRESHOLD)
 
-    # near sources: power rule about the left endpoint minus, for every
-    # source but the last, the same about the right endpoint
-    hn = h[near]
-    mono = coeffs[: j + 1][near] @ tab.mono.T
-    s0 = ((t - a[near]) / hn)[:, None]
-    s1 = ((t - b[near][:-1]) / hn[:-1])[:, None]
-    per_src = (mono * cfi * s0**gam).sum(axis=1)
-    per_src[:-1] -= (mono[:-1] @ tab.shift * cfi * s1**gam).sum(axis=1)
-    total = float(np.sum(hn**pw * per_src))
+        # near sources, then the element containing t with its part past t
+        # cut off: power rule about the left endpoint minus, for every source
+        # but the containing one, the same about the right endpoint
+        near_t = np.concatenate([ti[~far], np.arange(tb.size)])
+        near_s = np.concatenate([si[~far], jb])
+        hn, prior = h[near_s], near_t.size - tb.size
+        per_src = (left[near_s] * ((tb[near_t] - a[near_s]) / hn)[:, None] ** gam).sum(axis=1)
+        s1 = ((tb[near_t[:prior]] - b[near_s[:prior]]) / hn[:prior])[:, None]
+        per_src[:prior] -= (right[near_s[:prior]] * s1**gam).sum(axis=1)
+        total = np.bincount(near_t, hn**pw * per_src, tb.size)
 
-    # far sources: multipole series in the positive ratio, sign folded into the table
-    far = np.nonzero(~near)[0]
-    terms = _far_kernel_table(nu)[0] * ratio[far, None] ** ls * (coeffs[far] @ _p_table(ks)) * fl
-    return total + float(np.sum(h[far] * dist[far] ** (pw - 1.0) * terms.sum(axis=1))) / gamma_fn(nu)
+        # far sources: Horner in the ratio over the multipole weights
+        fs, ratio = si[far], ratio[far]
+        series = far_w[-1, fs]
+        for w in far_w[-2::-1]:
+            series = series * ratio + w[fs]
+        far_sum = np.bincount(ti[far], h[fs] * dist[far] ** (pw - 1.0) * series, tb.size)
+        out[lo : lo + _EVAL_BLOCK] = total + far_sum / gamma_fn(nu)
+    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
 def _solution_field(solution) -> tuple[np.ndarray, np.ndarray]:
@@ -511,25 +532,27 @@ def _solution_field(solution) -> tuple[np.ndarray, np.ndarray]:
     return nodes, coeffs[:, 0, :]
 
 
-def frac_integral_eval(beta: float, solution, t: float) -> float:
-    """(I^beta x)(t) for field 0 of a piecewise-polynomial solution."""
+def frac_integral_eval(beta: float, solution, t) -> np.ndarray | float:
+    """(I^beta x)(t) for field 0 of a piecewise-polynomial solution, at a time
+    t in (t_0, T] (a float back) or an array of them (an array, in one pass)."""
     beta = _check_beta(beta)
     nodes, coeffs = _solution_field(solution)
-    return _conv_eval(beta, nodes, coeffs, float(t), differentiate=False)
+    return _conv_eval(beta, nodes, coeffs, t, differentiate=False)
 
 
-def rl_derivative_eval(mu: float, solution, t: float) -> float:
+def rl_derivative_eval(mu: float, solution, t) -> np.ndarray | float:
     """Riemann-Liouville derivative of order mu in [0, 1):  d/dt I^(1-mu) x.
 
-    mu = 0 reduces to evaluating the field itself at t.  The far-field
-    history terms then vanish identically, but the near-field sources only
-    cancel to roundoff (up to a few 1e-11 relative on k = 3 data).
+    ``t`` is a time or an array of times, as for frac_integral_eval.  mu = 0
+    reduces to evaluating the field itself at t.  The far-field history terms
+    then vanish identically, but the near-field sources only cancel to
+    roundoff (up to a few 1e-11 relative on k = 3 data).
     """
     mu = float(mu)
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"derivative order must lie in [0, 1), got {mu}")
     nodes, coeffs = _solution_field(solution)
-    return _conv_eval(1.0 - mu, nodes, coeffs, float(t), differentiate=True)
+    return _conv_eval(1.0 - mu, nodes, coeffs, t, differentiate=True)
 
 
 # ---------------------------------------------------------------------------

@@ -195,17 +195,21 @@ def project(f: Callable[[np.ndarray], np.ndarray], interval: Sequence[float], k:
 def eval_poly(coeffs: np.ndarray, interval: Sequence[float], t) -> np.ndarray | float:
     """Evaluate a modal polynomial on its element at point(s) ``t``.
 
-    Points outside the element (beyond a 1e-12 relative slack) are rejected.
+    For points on different elements, ``coeffs`` holds one row per point and
+    ``interval`` the arrays (a, b) of their elements.  Points that are not
+    finite or lie outside their element (beyond a 1e-12 relative slack) are
+    rejected.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     k = _check_degree(coeffs.shape[-1] - 1)
-    a, b = map(float, interval)
+    a, b = (np.asarray(e, dtype=float) for e in interval)
     h = b - a
     tt = np.atleast_1d(np.asarray(t, dtype=float))
-    slack = 1e-12 * max(abs(a), abs(b), h)
-    if np.any(tt < a - slack) or np.any(tt > b + slack):
-        raise ValueError(f"evaluation point outside element [{a}, {b}]")
+    slack = 1e-12 * np.maximum(np.maximum(abs(a), abs(b)), h)
+    bad = tt[~((tt >= a - slack) & (tt <= b + slack))]  # NaN and +-inf fail
+    if bad.size:
+        raise ValueError(f"evaluation point {bad[0]} is not finite or lies outside its element")
     xi = np.clip((tt - a) / h, 0.0, 1.0)
-    vals = legendre_table(k, xi) @ coeffs
+    vals = (legendre_table(k, xi) * coeffs).sum(axis=-1)
     return vals if np.ndim(t) else float(vals[0])
 

@@ -169,18 +169,10 @@ class PiecewisePoly:
     def field_count(self) -> int:
         return self.coeffs.shape[1]
 
-    def _element_of(self, t: float) -> int:
-        nodes = self.mesh.nodes
-        j = int(np.searchsorted(nodes, t, side="left")) - 1
-        return min(max(j, 0), self.mesh.n - 1)
-
     def __call__(self, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(tt)
-        for i, ti in enumerate(tt):
-            j = self._element_of(ti)
-            out[i] = eval_poly(self.coeffs[j, 0], self.mesh.interval(j), ti)
-        return out if np.ndim(t) else float(out[0])
+        nodes = self.mesh.nodes
+        j = np.clip(np.searchsorted(nodes, t, side="left") - 1, 0, self.mesh.n - 1)
+        return eval_poly(self.coeffs[j, 0], (nodes[j], nodes[j + 1]), t)
 
     def downwind_values(self) -> np.ndarray:
         """Traces X(t_j^-) of field 0 at the right end of each element, j = 1..n."""

@@ -381,6 +381,34 @@ def test_point_evaluation_power_exactness_on_graded_mesh():
                     np.testing.assert_allclose(fc.rl_derivative_eval(mu, sol, t), coeff * t ** (j - mu), rtol=1e-12)
 
 
+def test_point_evaluation_of_many_times_in_one_call():
+    # graded meshes, 200 times in one call: power exactness as above, and
+    # every value equal to its own scalar call, across the block edges
+    times = np.linspace(0.0, 2.0, 201)[1:]
+    assert times.size > 2 * fc._EVAL_BLOCK
+    k = 3
+    for grading in (1, 2, 4):
+        nodes = 2.0 * (np.arange(33) / 32.0) ** grading
+        for j in (0, 2, 3):
+            sol = _FakeSolution(nodes, _project_global(lambda t: t**j, nodes, k))
+            for beta in (0.3, 1.3):
+                vals = fc.frac_integral_eval(beta, sol, times)
+                np.testing.assert_allclose(vals, fc.frac_int_power_coeff(beta, j) * times ** (j + beta), rtol=1e-12)
+                np.testing.assert_array_equal(vals, [fc.frac_integral_eval(beta, sol, t) for t in times])
+            mu = 0.7
+            vals = fc.rl_derivative_eval(mu, sol, times)
+            if j >= 2:
+                coeff = math.gamma(j + 1.0) / math.gamma(j + 1.0 - mu)
+                np.testing.assert_allclose(vals, coeff * times ** (j - mu), rtol=1e-12)
+            np.testing.assert_array_equal(vals, [fc.rl_derivative_eval(mu, sol, t) for t in times])
+    assert isinstance(fc.frac_integral_eval(0.5, sol, 1.0), float)
+    assert fc.frac_integral_eval(0.5, sol, times.reshape(20, 10)).shape == (20, 10)
+    assert fc.rl_derivative_eval(0.5, sol, np.array([])).shape == (0,)
+    for bad in (0.0, -0.5, 2.5, math.nan, math.inf):  # one bad time spoils the call
+        with pytest.raises(ValueError, match="evaluation time"):
+            fc.frac_integral_eval(0.5, sol, np.append(times, bad))
+
+
 def test_rl_derivative_order_zero_is_identity():
     rng = np.random.default_rng(23)
     nodes = np.linspace(0.0, 1.0, 17)

@@ -1,11 +1,14 @@
 """Tests for the Mittag-Leffler series and the solver-based evaluator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import rgamma
 
+from fodelab import mittag
+from fodelab.ldgsolver import SolverError
 from fodelab.mittag import MlfQuery, mlf_series, mlf_solve
 
 
@@ -56,11 +59,71 @@ def test_query_validation():
         mlf_solve(MlfQuery(alpha=2.5, beta=1.0))
     with pytest.raises(ValueError):
         mlf_solve(MlfQuery(alpha=0.5, beta=1.0, t_max=1.0), times=[0.5, 2.0])
+    with pytest.raises(ValueError, match="times"):
+        mlf_solve(MlfQuery(alpha=0.5, beta=1.0, n=8, k=1), times=[[0.5, 1.0]])
+    for beta in (0.5, 1.0, 1.5):  # every shift branch refuses a NaN time
+        with pytest.raises(ValueError):
+            mlf_solve(MlfQuery(alpha=0.5, beta=beta, n=8, k=1), times=[0.5, math.nan])
     # counts must be integers in range, rejected at construction with the argument named
     for name, value in (("sample_count", 3.5), ("n", 16.5), ("k", 2.5), ("n", 0), ("k", -1),
                         ("n", True), ("sample_count", True), ("k", 9)):
         with pytest.raises(ValueError, match=name):
             MlfQuery(alpha=0.5, beta=1.0, **{name: value})
+
+
+@pytest.fixture
+def march_calls(monkeypatch):
+    """Count the marches mlf_solve runs, starting from an empty memo."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = mittag.march
+    monkeypatch.setattr(mittag, "march", counting)
+    mittag._model_march.cache_clear()
+    yield calls
+    mittag._model_march.cache_clear()
+
+
+def test_solve_marches_each_model_once(march_calls):
+    base = MlfQuery(alpha=0.6, beta=0.5, t_max=1.0, sample_count=9, n=8, k=2)
+    tables = [mlf_solve(replace(base, beta=beta))[1] for beta in (0.5, 1.0, 1.5)]
+    assert len(march_calls) == 1
+    # the values equal those of a cold memo bit for bit
+    for beta, table in zip((0.5, 1.0, 1.5), tables):
+        mittag._model_march.cache_clear()
+        assert mlf_solve(replace(base, beta=beta))[1].tobytes() == table.tobytes()
+    # any change to the model marches again
+    march_calls.clear()
+    changes = dict(alpha=0.7, a_coef=-2.0, t_max=1.5, n=9, k=1)
+    for name, value in changes.items():
+        mlf_solve(replace(base, **{name: value}))
+    assert len(march_calls) == len(changes)
+    # the memo holds one model: another model in between evicts it
+    march_calls.clear()
+    for query in (base, replace(base, alpha=0.7), base):
+        mlf_solve(query)
+    assert len(march_calls) == 3
+    sol = mittag._model_march(base.alpha, base.a_coef, base.t_max, base.n, base.k)
+    assert not sol.coeffs.flags.writeable
+
+
+def test_solve_does_not_keep_a_failed_march(march_calls, monkeypatch):
+    counting = mittag.march
+
+    def failing(*args, **kwargs):
+        counting(*args, **kwargs)
+        raise SolverError("no convergence")
+
+    monkeypatch.setattr(mittag, "march", failing)
+    query = MlfQuery(alpha=0.6, beta=1.0, t_max=1.0, sample_count=5, n=8, k=1)
+    with pytest.raises(SolverError):
+        mlf_solve(query)
+    monkeypatch.setattr(mittag, "march", counting)
+    mlf_solve(query)
+    assert len(march_calls) == 2
 
 
 def test_solve_exponential_case():

@@ -123,8 +123,9 @@ def test_project_known_value():
 
 
 def test_eval_poly_rejects_outside_points():
-    with pytest.raises(ValueError):
-        pb.eval_poly(np.array([1.0, 0.5]), (0.0, 1.0), 1.5)
+    for t in (1.5, np.nan, np.inf, -np.inf, [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            pb.eval_poly(np.array([1.0, 0.5]), (0.0, 1.0), t)
 
 
 def test_traces():

@@ -150,6 +150,10 @@ def test_piecewise_poly_roundtrip():
         sol = _projected(f, mesh, k)
         t = np.linspace(0.0, 1.0, 41)
         np.testing.assert_allclose(sol(t), f(t), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sol(t), [sol(ti) for ti in t], rtol=1e-15, atol=1e-15)
+        for bad in (np.nan, 1.5, [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                sol(bad)
 
 
 def test_piecewise_poly_traces():
