@@ -130,7 +130,9 @@ def caputo_power(alpha: float, j: int) -> float:
 
 
 def frac_int_power_coeff(beta: float, n) -> np.ndarray | float:
-    """Coefficient n!/Gamma(n+1+beta) in  I^beta[(t-a)**n] = c * (t-a)**(n+beta)."""
+    """Coefficient n!/Gamma(n+1+beta) in  I^beta[(t-a)**n] = c * (t-a)**(n+beta), beta >= 0."""
+    if not beta >= 0:
+        raise ValueError(f"integral order must be nonnegative, got {beta}")
     n_arr = np.asarray(n, dtype=float)
     out = np.exp(gammaln(n_arr + 1.0) - gammaln(n_arr + 1.0 + beta))
     return out if np.ndim(n) else float(out)

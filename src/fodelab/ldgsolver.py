@@ -134,52 +134,48 @@ def _quad_context(interval, k: int, order: int):
         return a + h * rule.nodes, h * rule.weights, _gauss_table(k, q)
 
 
-class _ElementOperator:
-    """Residual and Jacobian of one element's local system.
+def _element_parts(spec: ProblemSpec, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Width-free (chain, mass, memory) parts of the local system on the reference element.
+
+    An element of width h has the matrix chain + h*mass + h**(1+beta)*memory:
+    the chain rows' own blocks, their coupling to the next field, and the
+    model row's same-element memory block at field p = ceil(alpha).
+    """
+    kp1, size = k + 1, spec.field_count * (k + 1)
+    p, beta = math.ceil(spec.alpha), spec.frac_order
+    chain, mass, memory = np.zeros((3, size, size))
+    for r in range(0, size - kp1, kp1):
+        chain[r:r + kp1, r:r + kp1] = stiffness_matrix(k) - 1.0
+        mass[r:r + kp1, r + kp1:r + 2 * kp1] = mass_matrix(k)
+    local = mass_matrix(k) if beta == 0.0 else fraccalc.local_frac_matrix(beta, k)
+    memory[-kp1:, p * kp1:(p + 1) * kp1] = local
+    return chain, mass, memory
+
+
+def _element_system(spec: ProblemSpec, interval, k: int, history: np.ndarray,
+                    inflow: np.ndarray, parts) -> Callable:
+    """linearize(y) -> (Jacobian, residual) of one element's local system.
 
     Unknowns are the stacked modal coefficients y = (c_0, ..., c_{F-1}).
-    Chain rows are affine; only the model row depends (possibly nonlinearly,
-    through the forcing) on c_0.  The chain and memory blocks depend on the
-    element only through its width, so a march passes one ``blocks`` dict
-    that keeps them, read-only, per exact width.
+    Chain rows are affine; only the model row, the last k+1 rows, depends
+    (possibly nonlinearly, through the forcing) on c_0.
     """
+    kp1 = k + 1
+    h = interval[1] - interval[0]
+    chain, mass, memory = parts
+    base = chain + h * mass
+    base += h ** (1.0 + spec.frac_order) * memory
+    rf = slice(-kp1, None)  # the model row
+    # forcing and damping moments use k+3 Gauss points (more near t = 0)
+    t, w, tab = _quad_context(interval, k, k + 3)
+    if spec.m >= 1:
+        wd = w * np.asarray(spec.d(t), dtype=float)
+        base[rf, spec.m * kp1:(spec.m + 1) * kp1] += tab.T @ (wd[:, None] * tab)
+    rhs = np.zeros(base.shape[0])
+    rhs[:-kp1] = np.outer(-inflow, _LEFT_SIGNS[:kp1]).ravel()
+    rhs[rf] -= history
 
-    def __init__(self, spec: ProblemSpec, mesh: Mesh, j: int, history: np.ndarray,
-                 inflow: np.ndarray, options: SolveOptions, blocks: dict | None = None):
-        k = options.k
-        kp1 = k + 1
-        nfields = spec.field_count
-        interval = mesh.interval(j)
-        h = interval[1] - interval[0]
-
-        self.spec = spec
-        self.kp1 = kp1
-        self.size = nfields * kp1
-        # forcing and damping moments use k+3 Gauss points (more near t = 0)
-        t, w, tab = _quad_context(interval, k, k + 3)
-
-        blocks = {} if blocks is None else blocks
-        base = blocks.get(h)
-        if base is None:
-            base = blocks[h] = _fixed_blocks(spec, k, h)
-        rf = slice((nfields - 1) * kp1, nfields * kp1)
-        if spec.m >= 1:
-            cm = slice(spec.m * kp1, (spec.m + 1) * kp1)
-            wd = w * np.asarray(spec.d(t), dtype=float)
-            base = base.copy()
-            base[rf, cm] += tab.T @ (wd[:, None] * tab)
-        rhs = np.zeros(self.size)
-        rhs[: rf.start] = np.outer(-inflow, _LEFT_SIGNS[:kp1]).ravel()
-        rhs[rf] -= history
-
-        self.base = base
-        self.base_rhs = rhs
-        self.rf = rf
-        self.t_quad, self.w_quad, self.tab_quad = t, w, tab
-
-    def linearize(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Jacobian, residual) of the local system at y."""
-        kp1, spec, t, tab = self.kp1, self.spec, self.t_quad, self.tab_quad
+    def linearize(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = tab @ y[:kp1]
         if spec.df_dx is not None:
             slope = np.asarray(spec.df_dx(x, t), dtype=float)
@@ -187,30 +183,13 @@ class _ElementOperator:
             step = 1e-7 * (1.0 + np.abs(x))
             slope = (np.asarray(spec.f(x + step, t), dtype=float)
                      - np.asarray(spec.f(x - step, t), dtype=float)) / (2.0 * step)
-        jac = self.base.copy()
-        jac[self.rf, :kp1] -= tab.T @ ((self.w_quad * slope)[:, None] * tab)
-        res = self.base @ y - self.base_rhs
-        res[self.rf] -= tab.T @ (self.w_quad * np.asarray(spec.f(x, t), dtype=float))
+        jac = base.copy()
+        jac[rf, :kp1] -= tab.T @ ((w * slope)[:, None] * tab)
+        res = base @ y - rhs
+        res[rf] -= tab.T @ (w * np.asarray(spec.f(x, t), dtype=float))
         return jac, res
 
-
-def _fixed_blocks(spec: ProblemSpec, k: int, h: float) -> np.ndarray:
-    """Chain and memory blocks of an element of width h, read-only."""
-    kp1 = k + 1
-    nfields = spec.field_count
-    p = math.ceil(spec.alpha)
-    beta = spec.frac_order
-    chain_own = stiffness_matrix(k) - np.ones((kp1, kp1))
-    mass = h * mass_matrix(k)
-    base = np.zeros((nfields * kp1, nfields * kp1))
-    for i in range(nfields - 1):
-        r = slice(i * kp1, (i + 1) * kp1)
-        base[r, r] += chain_own
-        base[r, (i + 1) * kp1:(i + 2) * kp1] += mass
-    memory = mass if beta == 0.0 else h ** (1.0 + beta) * fraccalc.local_frac_matrix(beta, k)
-    base[(nfields - 1) * kp1:, p * kp1:(p + 1) * kp1] += memory
-    base.flags.writeable = False
-    return base
+    return linearize
 
 
 def _equilibrate(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,18 +199,18 @@ def _equilibrate(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return jac / scale[:, None], res / scale
 
 
-def newton_solve(op, guess: np.ndarray) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration on an object whose ``linearize(y)`` returns (Jacobian, residual).
+def newton_solve(linearize: Callable, guess: np.ndarray) -> tuple[np.ndarray, int]:
+    """Damped Newton iteration on a callable ``linearize(y) -> (Jacobian, residual)``.
 
     Returns (solution, iterations).  Convergence to ``_NEWTON_TOL`` is
     measured in the row-equilibrated residual max-norm, which makes the
     tolerance meaningful across element sizes and orders.  A step that
-    increases the residual is retried once at half length before being
-    accepted (the next iteration then works from the better of the two).
-    Raises SolverError after ``_NEWTON_MAX_ITER`` iterations.
+    increases the residual is retried once at half length, and the iterate
+    with the smaller residual is kept.  Raises SolverError when an iterate
+    turns non-finite or after ``_NEWTON_MAX_ITER`` iterations.
     """
     def state(y):
-        a, r = _equilibrate(*op.linearize(y))
+        a, r = _equilibrate(*linearize(y))
         return y, a, r, float(np.abs(r).max())
 
     y, a, r, rnorm = state(np.asarray(guess, dtype=float).copy())
@@ -273,7 +252,7 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
     coeffs = np.zeros((n, nfields, kp1))
     memory = np.zeros((n, kp1))  # field p, contiguous for the history sums
     history = fraccalc._History(beta, mesh.nodes) if beta != 0.0 else None
-    blocks = {}
+    parts = _element_parts(spec, k)
     inflow = np.array(spec.initial, dtype=float)
     prev_down = np.concatenate([inflow, [0.0]])
     signs_sum = np.ones(kp1)
@@ -283,16 +262,16 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
     for j in range(n):
         interval = mesh.interval(j)
         moments = np.zeros(kp1) if history is None else history(memory, j)
-        op = _ElementOperator(spec, mesh, j, moments, inflow, options, blocks)
+        linearize = _element_system(spec, interval, k, moments, inflow, parts)
         if spec.linear:
-            a, r = _equilibrate(*op.linearize(np.zeros(op.size)))
+            a, r = _equilibrate(*linearize(np.zeros(nfields * kp1)))
             y = np.linalg.solve(a, -r)
             iters = 0
         else:
-            guess = np.zeros(op.size)
+            guess = np.zeros(nfields * kp1)
             guess[::kp1] = prev_down
             try:
-                y, iters = newton_solve(op, guess)
+                y, iters = newton_solve(linearize, guess)
             except SolverError as exc:
                 raise SolverError(f"element {j} on [{interval[0]:.6g}, {interval[1]:.6g}]: {exc}") from exc
         if not np.isfinite(y).all():

@@ -52,12 +52,12 @@ class MlfQuery:
     k: int = 3
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         for name, low, high in (("sample_count", 1, None), ("n", 1, None), ("k", 0, MAX_DEGREE)):
             _check_int(name, getattr(self, name), low, high)
 

@@ -51,8 +51,8 @@ class Mesh:
             raise ValueError("a mesh needs at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError(f"mesh must start at t = 0, got {nodes[0]}")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        if not (np.all(np.diff(nodes) > 0) and np.isfinite(nodes[-1])):
+            raise ValueError("mesh nodes must be finite and strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -119,18 +119,19 @@ class ProblemSpec:
             raise ValueError(f"classic derivative order must be >= 0, got {self.m}")
         if (self.m >= 1) != (self.d is not None):
             raise ValueError("coefficient d(t) must be present exactly when m >= 1")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         # linear problems get one unchecked solve: a differenced Jacobian's error would stay
         if self.linear and self.df_dx is None:
             raise ValueError(f"{self.name}: a linear problem needs df_dx")
         need = _required_initial_count(self.alpha, self.m)
-        if len(self.initial) != need:
+        initial = tuple(float(v) for v in self.initial)
+        if len(initial) != need or not all(map(math.isfinite, initial)):
             raise ValueError(
-                f"{self.name}: expected {need} initial values for alpha={self.alpha}, m={self.m}, "
-                f"got {len(self.initial)}"
+                f"{self.name}: expected {need} finite initial values for alpha={self.alpha}, "
+                f"m={self.m}, got {initial}"
             )
-        object.__setattr__(self, "initial", tuple(float(v) for v in self.initial))
+        object.__setattr__(self, "initial", initial)
 
     @property
     def field_count(self) -> int:
@@ -164,10 +165,6 @@ class PiecewisePoly:
         if c.ndim != 3 or c.shape[0] != self.mesh.n or c.shape[2] != self.k + 1:
             raise ValueError(f"coefficient array shape {c.shape} does not match mesh/degree")
         self.coeffs = c
-
-    @property
-    def field_count(self) -> int:
-        return self.coeffs.shape[1]
 
     def __call__(self, t):
         nodes = self.mesh.nodes
@@ -296,6 +293,8 @@ def _make(name, alpha, m, d, horizon, mono, linear, f, df) -> ProblemSpec:
 
 def linear_model(alpha: float, a: float, b: float, initial: Sequence[float], horizon: float) -> ProblemSpec:
     """The model problem D^alpha x = a*x + b with given initial values."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"coefficients a and b must be finite, got a={a}, b={b}")
 
     def f(x, t):
         return a * x + b + 0.0 * np.asarray(t, dtype=float)

@@ -30,6 +30,11 @@ def test_frac_int_power_coeff():
     np.testing.assert_allclose(fc.frac_int_power_coeff(0.5, 0), 2.0 / math.sqrt(math.pi), rtol=1e-14)
     # I^1 of t^n has coefficient 1/(n+1)
     np.testing.assert_allclose(fc.frac_int_power_coeff(1.0, np.arange(5)), 1.0 / np.arange(1, 6), rtol=1e-14)
+    # beta = 0 is the identity; a negative order is a derivative, not this integral
+    assert fc.frac_int_power_coeff(0.0, 3) == pytest.approx(1.0, rel=1e-14)
+    for beta in (-1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fc.frac_int_power_coeff(beta, 2)
 
 
 def test_local_frac_matrix_constant_mode():

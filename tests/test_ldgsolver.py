@@ -12,11 +12,13 @@ from fodelab.ldgsolver import (
     EnergyReport,
     SolveOptions,
     SolverError,
-    _ElementOperator,
+    _element_parts,
+    _element_system,
     downwind_errors,
     energy_diagnostic,
     l2_error,
     march,
+    newton_solve,
 )
 from fodelab.polybasis import project
 from fodelab.problem import (
@@ -117,11 +119,38 @@ def test_assembled_residual_consistency():
                 )
             inflow = np.array([spec.exact(mesh.nodes[j])])
             y = fields[j].ravel()
-            residual = _ElementOperator(spec, mesh, j, history, inflow, options).linearize(y)[1]
+            parts = _element_parts(spec, options.k)
+            residual = _element_system(spec, mesh.interval(j), options.k, history, inflow, parts)(y)[1]
             res_max = max(res_max, float(np.max(np.abs(residual))))
         worst[n] = res_max
     assert worst[8] < worst[4]
     assert worst[4] / worst[8] > 2.0 ** options.k
+
+
+def test_newton_half_step_rescues_an_overshoot():
+    # Newton on arctan(y) = 0 diverges from y = 2: the full step lands at
+    # y = 2 - 5 atan(2) = -3.54, where the residual is larger, and only the
+    # half step at -0.77 enters the region of convergence
+    tried = []
+
+    def linearize(y):
+        tried.append(float(y[0]))
+        return np.array([[1.0 / (1.0 + y[0] ** 2)]]), np.arctan(y)
+
+    y, iters = newton_solve(linearize, np.array([2.0]))
+    assert abs(y[0]) <= 1e-12
+    full, half = 2.0 - 5.0 * math.atan(2.0), 2.0 - 2.5 * math.atan(2.0)
+    assert tried[1:3] == [pytest.approx(full), pytest.approx(half)]
+    assert len(tried) == 1 + iters + 1  # the guess, one per accepted step, one half step
+
+
+def test_newton_raises_on_non_finite_iterate():
+    # the residual is finite at the guess only, so the second step is NaN
+    def linearize(y):
+        return np.eye(1), np.array([1.0 if y[0] == 0.0 else math.nan])
+
+    with pytest.raises(SolverError, match="non-finite"):
+        newton_solve(linearize, np.zeros(1))
 
 
 def test_l1_error_decay():

@@ -69,6 +69,11 @@ def test_query_validation():
                         ("n", True), ("sample_count", True), ("k", 9)):
         with pytest.raises(ValueError, match=name):
             MlfQuery(alpha=0.5, beta=1.0, **{name: value})
+    # the orders and the horizon must be positive and finite, also checked at construction
+    for name in ("alpha", "beta", "t_max"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                MlfQuery(**{"alpha": 0.5, "beta": 1.0, name: value})
 
 
 @pytest.fixture

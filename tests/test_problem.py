@@ -44,6 +44,9 @@ def test_mesh_validation():
         Mesh(np.array([0.1, 0.5, 1.0]))  # must start at 0
     with pytest.raises(ValueError):
         Mesh(np.array([0.0, 0.5, 0.5]))  # strictly increasing
+    for bad in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [0.0, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Mesh(np.array(bad))
     with pytest.raises(ValueError):
         build_mesh(8, 1.0, grading=0.5)
     # a fractional element count would give a mesh ending past the horizon
@@ -71,6 +74,22 @@ def test_field_count_and_initial_validation():
         linear_model(1.5, -1.0, 0.0, (1.0,), 1.0)  # needs two initial values
     with pytest.raises(ValueError):
         linear_model(2.5, -1.0, 0.0, (1.0, 0.0, 0.0), 1.0)  # order out of range
+
+
+def test_spec_rejects_non_finite_inputs():
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            linear_model(0.5, -1.0, 0.0, (1.0,), horizon)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            load_problem_config({"alpha": 0.5, "forcing": "L1", "T": horizon})
+    for initial in ((math.nan,), (math.inf,)):
+        with pytest.raises(ValueError, match="finite initial values"):
+            linear_model(0.5, -1.0, 0.0, initial, 1.0)
+    with pytest.raises(ValueError, match="finite initial values"):
+        load_problem_config({"alpha": 1.5, "forcing": "N4", "initial": [1.0, math.nan]})
+    for a, b in ((math.nan, 0.0), (-1.0, math.inf)):
+        with pytest.raises(ValueError, match="a and b must be finite"):
+            linear_model(0.5, a, b, (1.0,), 1.0)
 
 
 def test_damping_requires_coefficient():
