@@ -163,9 +163,10 @@ def run_convergence_study(
     """Mesh-refinement study for one (problem, k): errors, rates, flags.
 
     Each level marches ``SolveOptions(k=k)`` on n uniform elements (the n
-    strictly increasing integers >= 1).  Rows run on up to ``threads``
-    threads (an integer >= 1) but are assembled in input order, so the
-    report is deterministic.  A solver failure marks its row and the study
+    strictly increasing integers >= 1).  Rows run in the calling thread
+    when ``threads`` (an integer >= 1) is 1, else on up to ``threads`` pool
+    threads, and are assembled in input order, so the report is
+    deterministic.  A solver failure marks its row and the study
     continues with the remaining levels.  The L2 rate is flagged when it
     lies more than ``rate_tol`` from k+1 either way; the downwind rate only
     when it falls more than ``rate_tol`` short of its expected order, since
@@ -191,8 +192,11 @@ def run_convergence_study(
         errs = downwind_errors(sol, spec.exact)
         return float(errs[-1]), float(np.max(errs)), l2_error(sol, spec.exact)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(attempt, n_list))
+    if threads == 1:
+        outcomes = [attempt(n) for n in n_list]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(attempt, n_list))
 
     rows: list[StudyRow] = []
     flags: list[str] = []

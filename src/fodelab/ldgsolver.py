@@ -94,10 +94,11 @@ _ENERGY_PERTURBATION = 1e-2
 # phi_q(0) = (-1)**q: the basis values at an element's left end, where the inflow enters
 _LEFT_SIGNS = (-1.0) ** np.arange(MAX_DEGREE + 1)
 _LEFT_SIGNS.flags.writeable = False
+_PREPASS_CHUNK = 1024  # elements per pre-pass, which bounds its stacks' memory at any n
 
 
-def _quad_context(interval, k: int, order: int):
-    """Quadrature nodes, weights, and basis table for data integrals.
+def _quad_classes(a: np.ndarray, h: np.ndarray, k: int, order: int):
+    """Quadrature nodes, weights, and basis tables for data integrals.
 
     Forcing terms of fractional problems characteristically behave like
     t^gamma near the origin (every built-in example has such a term), and
@@ -107,31 +108,22 @@ def _quad_context(interval, k: int, order: int):
     right of it get extra points (their integrands are analytic but with a
     shrinking convergence radius).  Away from the origin a single Gauss rule
     of the requested order is used.  Polynomial data is integrated exactly
-    by every branch.
+    by every branch.  Yields (index, t, w, tab) per rule's elements [a, a + h].
     """
-    a, b = interval
-    h = b - a
-    if a == 0.0:
-        per_piece = max(order, 10)
-        rule = gauss_legendre(per_piece)
-        edges = h * 2.0 ** -np.arange(_ORIGIN_LEVELS - 1, -1, -1.0)
-        lo = np.concatenate([[0.0], edges[:-1]])
-        width = edges - lo
-        t = (lo[:, None] + width[:, None] * rule.nodes).ravel()
-        w = (width[:, None] * rule.weights).ravel()
-        return t, w, legendre_table(k, t / h)
-    else:
-        r = a / h
-        if r < 2.0:
-            q = max(order, 14)
-        elif r < 8.0:
-            q = max(order, 10)
-        elif r < 32.0:
-            q = max(order, 7)
-        else:
-            q = order
-        rule = gauss_legendre(q)
-        return a + h * rule.nodes, h * rule.weights, _gauss_table(k, q)
+    r = a / h
+    sizes = np.select([a == 0.0, r < 2.0, r < 8.0, r < 32.0],
+                      [0, max(order, 14), max(order, 10), max(order, 7)], order)
+    for q in np.unique(sizes).tolist():
+        index = np.flatnonzero(sizes == q)
+        rule = gauss_legendre(q or max(order, 10))
+        nodes, weights = rule.nodes, rule.weights
+        if q == 0:  # element 0: the rule on [0, 2**-35], ..., [1/4, 1/2], [1/2, 1]
+            edges = 2.0 ** -np.arange(_ORIGIN_LEVELS - 1, -1, -1.0)
+            lo = np.concatenate([[0.0], edges[:-1]])
+            nodes = (lo[:, None] + (edges - lo)[:, None] * nodes).ravel()
+            weights = ((edges - lo)[:, None] * weights).ravel()
+        tab = legendre_table(k, nodes) if q == 0 else _gauss_table(k, q)
+        yield index, a[index, None] + h[index, None] * nodes, h[index, None] * weights, tab
 
 
 def _element_parts(spec: ProblemSpec, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,28 +144,49 @@ def _element_parts(spec: ProblemSpec, k: int) -> tuple[np.ndarray, np.ndarray, n
     return chain, mass, memory
 
 
-def _element_system(spec: ProblemSpec, interval, k: int, history: np.ndarray,
-                    inflow: np.ndarray, parts) -> Callable:
-    """linearize(y) -> (Jacobian, residual) of one element's local system.
+def _on(fn: Callable, t: np.ndarray) -> np.ndarray:
+    """fn(t) in one call on the flattened times, broadcast to t's shape."""
+    flat = t.ravel()
+    return np.broadcast_to(np.asarray(fn(flat), dtype=float), flat.shape).reshape(t.shape)
+
+
+def _prepass(spec: ProblemSpec, a: np.ndarray, h: np.ndarray, k: int, parts):
+    """The systems of the elements [a, a + h], all but their history and inflow.
 
     Unknowns are the stacked modal coefficients y = (c_0, ..., c_{F-1}).
-    Chain rows are affine; only the model row, the last k+1 rows, depends
-    (possibly nonlinearly, through the forcing) on c_0.
+    Returns (base, quad, load, inverse): the stack of chain + h*mass +
+    h**(1+beta)*memory plus damping, and each element's data quadrature
+    (t, w, tab) with k+3 Gauss points (more near t = 0).  A linear spec has
+    f(x, t) = f(0, t) + df_dx(t)*x: load stacks the moments of f(0, t), and
+    inverse the inverse Jacobians, rows equilibrated before and the scale
+    folded into the columns after.  Otherwise load is 0 and inverse None.
     """
-    kp1 = k + 1
-    h = interval[1] - interval[0]
-    chain, mass, memory = parts
-    base = chain + h * mass
-    base += h ** (1.0 + spec.frac_order) * memory
-    rf = slice(-kp1, None)  # the model row
-    # forcing and damping moments use k+3 Gauss points (more near t = 0)
-    t, w, tab = _quad_context(interval, k, k + 3)
-    if spec.m >= 1:
-        wd = w * np.asarray(spec.d(t), dtype=float)
-        base[rf, spec.m * kp1:(spec.m + 1) * kp1] += tab.T @ (wd[:, None] * tab)
-    rhs = np.zeros(base.shape[0])
-    rhs[:-kp1] = np.outer(-inflow, _LEFT_SIGNS[:kp1]).ravel()
-    rhs[rf] -= history
+    kp1, m = k + 1, spec.m
+    base = parts[0] + h[:, None, None] * parts[1]  # chain + h*mass
+    base += (h ** (1.0 + spec.frac_order))[:, None, None] * parts[2]
+    quad, load, drift = [None] * h.size, np.zeros((h.size, kp1)), np.zeros((h.size, kp1, kp1))
+    for index, t, w, tab in _quad_classes(a, h, k, k + 3):
+        if m >= 1:
+            base[index, -kp1:, m * kp1:(m + 1) * kp1] += tab.T @ ((w * _on(spec.d, t))[..., None] * tab)
+        if spec.linear:
+            load[index] = (w * _on(lambda s: spec.f(np.zeros_like(s), s), t)) @ tab
+            slope = _on(lambda s: spec.df_dx(np.zeros_like(s), s), t)
+            drift[index] = tab.T @ ((w * slope)[..., None] * tab)
+        for e, te, we in zip(index.tolist(), t, w):
+            quad[e] = te, we, tab
+    if not spec.linear:
+        return base, quad, load, None
+    jac = base.copy()
+    jac[:, -kp1:, :kp1] -= drift
+    scaled, unscale = _equilibrate(jac, np.ones(jac.shape[:2]))  # residual 1 gives 1/scale
+    return base, quad, load, np.linalg.inv(scaled) * unscale[:, None, :]
+
+
+def _linearize(spec: ProblemSpec, base: np.ndarray, quad, rhs: np.ndarray) -> Callable:
+    """linearize(y) -> (Jacobian, residual) of base @ y = rhs + forcing moments on quad = (t, w, tab);
+    only the model row, the last k+1 rows, depends (possibly nonlinearly) on c_0."""
+    t, w, tab = quad
+    kp1 = tab.shape[1]
 
     def linearize(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = tab @ y[:kp1]
@@ -184,19 +197,19 @@ def _element_system(spec: ProblemSpec, interval, k: int, history: np.ndarray,
             slope = (np.asarray(spec.f(x + step, t), dtype=float)
                      - np.asarray(spec.f(x - step, t), dtype=float)) / (2.0 * step)
         jac = base.copy()
-        jac[rf, :kp1] -= tab.T @ ((w * slope)[:, None] * tab)
+        jac[-kp1:, :kp1] -= tab.T @ ((w * slope)[:, None] * tab)
         res = base @ y - rhs
-        res[rf] -= tab.T @ (w * np.asarray(spec.f(x, t), dtype=float))
+        res[-kp1:] -= tab.T @ (w * np.asarray(spec.f(x, t), dtype=float))
         return jac, res
 
     return linearize
 
 
 def _equilibrate(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The system with each row divided by its largest |entry| (rows of zeros kept)."""
-    scale = np.abs(jac).max(axis=1)
+    """The system (or a stack) with each row divided by its largest |entry| (rows of zeros kept)."""
+    scale = np.abs(jac).max(axis=-1)
     scale[scale == 0.0] = 1.0
-    return jac / scale[:, None], res / scale
+    return jac / scale[..., None], res / scale
 
 
 def newton_solve(linearize: Callable, guess: np.ndarray) -> tuple[np.ndarray, int]:
@@ -236,8 +249,11 @@ def newton_solve(linearize: Callable, guess: np.ndarray) -> tuple[np.ndarray, in
 def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) -> PiecewisePoly:
     """Solve the problem by one sweep over the mesh.
 
-    Returns the piecewise polynomial for all fields; info carries Newton
-    statistics.  Raises SolverError if any element fails to solve.
+    A pre-pass per ``_PREPASS_CHUNK`` elements stacks their systems (and
+    inverts them for linear specs); the sweep adds history and inflow and
+    solves.  info carries Newton statistics, history pair counts and
+    ``memory_form``, the pairing of field p = ceil(alpha) with its fractional
+    integral.  Raises SolverError if any element fails to solve.
     """
     options = options or SolveOptions()
     if mesh.horizon > spec.horizon * (1.0 + 1e-12):
@@ -248,10 +264,12 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
     p = math.ceil(spec.alpha)
     beta = spec.frac_order
     n = mesh.n
+    nodes, widths = mesh.nodes, np.diff(mesh.nodes)
 
     coeffs = np.zeros((n, nfields, kp1))
     memory = np.zeros((n, kp1))  # field p, contiguous for the history sums
-    history = fraccalc._History(beta, mesh.nodes) if beta != 0.0 else None
+    moments = np.zeros((n, kp1))
+    history = fraccalc._History(beta, nodes) if beta != 0.0 else None
     parts = _element_parts(spec, k)
     inflow = np.array(spec.initial, dtype=float)
     prev_down = np.concatenate([inflow, [0.0]])
@@ -260,20 +278,21 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
     max_iters = 0
 
     for j in range(n):
-        interval = mesh.interval(j)
-        moments = np.zeros(kp1) if history is None else history(memory, j)
-        linearize = _element_system(spec, interval, k, moments, inflow, parts)
-        if spec.linear:
-            a, r = _equilibrate(*linearize(np.zeros(nfields * kp1)))
-            y = np.linalg.solve(a, -r)
-            iters = 0
+        e = j % _PREPASS_CHUNK
+        if e == 0:
+            stop = min(j + _PREPASS_CHUNK, n)
+            base, quad, load, inverse = _prepass(spec, nodes[j:stop], widths[j:stop], k, parts)
+        moments[j] = 0.0 if history is None else history(memory, j)
+        rhs = np.concatenate([np.outer(-inflow, _LEFT_SIGNS[:kp1]).ravel(), load[e] - moments[j]])
+        if inverse is not None:
+            y, iters = inverse[e] @ rhs, 0
         else:
             guess = np.zeros(nfields * kp1)
             guess[::kp1] = prev_down
             try:
-                y, iters = newton_solve(linearize, guess)
+                y, iters = newton_solve(_linearize(spec, base[e], quad[e], rhs), guess)
             except SolverError as exc:
-                raise SolverError(f"element {j} on [{interval[0]:.6g}, {interval[1]:.6g}]: {exc}") from exc
+                raise SolverError(f"element {j} on [{nodes[j]:.6g}, {nodes[j + 1]:.6g}]: {exc}") from exc
         if not np.isfinite(y).all():
             raise SolverError(f"element {j}: non-finite coefficients")
         coeffs[j] = y.reshape(nfields, kp1)
@@ -283,6 +302,8 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
         total_iters += iters
         max_iters = max(max_iters, iters)
 
+    # memory_form = sum_j c_j . (moments_j + h_j**(1+beta) L c_j), L the same-element memory block
+    moments += (widths ** (1.0 + beta))[:, None] * (memory @ parts[2][-kp1:, p * kp1:(p + 1) * kp1].T)
     info = {
         "newton_total_iters": total_iters,
         "newton_max_iters": max_iters,
@@ -291,28 +312,32 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
         "fields": nfields,
         "history_pairs_near": 0 if history is None else history.pairs_near,
         "history_pairs_far": 0 if history is None else history.pairs_far,
+        "memory_form": float(np.sum(memory * moments)),
     }
     return PiecewisePoly(mesh, k, coeffs, info)
 
 
+def _exact_on(exact: Callable, t: np.ndarray) -> np.ndarray:
+    """_on(exact, t); raises ValueError where a value is not finite."""
+    values = _on(exact, t)
+    if not np.isfinite(values).all():
+        raise ValueError(f"the exact solution is not finite at t = {t[~np.isfinite(values)][0]:.6g}")
+    return values
+
+
 def downwind_errors(solution: PiecewisePoly, exact: Callable) -> np.ndarray:
     """|x(t_j) - X(t_j^-)| at the right end of every element."""
-    t = solution.mesh.nodes[1:]
-    return np.abs(np.asarray(exact(t), dtype=float) - solution.downwind_values())
+    return np.abs(_exact_on(exact, solution.mesh.nodes[1:]) - solution.downwind_values())
 
 
 def l2_error(solution: PiecewisePoly, exact: Callable) -> float:
     """Global L2 error of field 0, by per-element Gauss quadrature (order k+5)."""
-    k = solution.k
+    k, nodes = solution.k, solution.mesh.nodes
     rule = gauss_legendre(k + 5)
-    tab = _gauss_table(k, k + 5)
-    total = 0.0
-    for j in range(solution.mesh.n):
-        a, b = solution.mesh.interval(j)
-        t = a + (b - a) * rule.nodes
-        diff = tab @ solution.coeffs[j, 0] - np.asarray(exact(t), dtype=float)
-        total += (b - a) * float(np.sum(rule.weights * diff**2))
-    return math.sqrt(total)
+    h = np.diff(nodes)
+    diff = solution.coeffs[:, 0] @ _gauss_table(k, k + 5).T
+    diff -= _exact_on(exact, nodes[:-1, None] + h[:, None] * rule.nodes)
+    return math.sqrt(float(h @ (diff**2 @ rule.weights)))
 
 
 def energy_diagnostic(spec: ProblemSpec, mesh: Mesh,
@@ -328,8 +353,9 @@ def energy_diagnostic(spec: ProblemSpec, mesh: Mesh,
         e(T^-)^2 = e(0^-)^2 - sum_j [[e]]_j^2 + (2/A) * q_form,
 
     with q_form the (nonnegative) fractional pairing of the derivative
-    field with itself.  identity_residual reports how well the computed
-    pieces satisfy this; it should be at roundoff for any mesh.
+    field with itself, read from the march's ``info["memory_form"]``.
+    identity_residual reports how well the computed pieces satisfy this;
+    it should be at roundoff for any mesh.
     """
     options = options or SolveOptions()
     if not spec.linear or spec.m != 0 or math.ceil(spec.alpha) != 1:
@@ -341,16 +367,12 @@ def energy_diagnostic(spec: ProblemSpec, mesh: Mesh,
 
     homogeneous = replace(spec, f=lambda x, t: spec.df_dx(x, t) * x, initial=(_ENERGY_PERTURBATION,),
                           exact=None, exact_monomials=None)
-    e = march(homogeneous, mesh, options).coeffs
-    e0 = e[:, 0, :]
-    e1 = e[:, 1, :]
-
-    down = e0.sum(axis=1)
-    signs = (-1.0) ** np.arange(options.k + 1)
-    up = e0 @ signs
+    sol = march(homogeneous, mesh, options)
+    down = sol.downwind_values()
+    up = sol.coeffs[:, 0, :] @ _LEFT_SIGNS[:options.k + 1]
     inflow = np.concatenate([[_ENERGY_PERTURBATION], down[:-1]])
     jump_sum = float(np.sum((up - inflow) ** 2))
-    q_form = fraccalc.frac_pairing(spec.frac_order, mesh.nodes, e1, e1)
+    q_form = sol.info["memory_form"]
     frac_term = 2.0 * q_form / a_coef
     initial_sq = _ENERGY_PERTURBATION**2
     final_sq = float(down[-1] ** 2)

@@ -56,6 +56,8 @@ class MlfQuery:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not math.isfinite(self.a_coef):
+            raise ValueError(f"a_coef must be finite, got {self.a_coef}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         for name, low, high in (("sample_count", 1, None), ("n", 1, None), ("k", 0, MAX_DEGREE)):

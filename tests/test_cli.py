@@ -107,6 +107,23 @@ def test_study_threads_do_not_change_bytes():
     assert serial == parallel
 
 
+def test_study_with_one_thread_constructs_no_executor(monkeypatch):
+    made = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    spec = builtin_problem("L1", 0.5)
+    serial = run_convergence_study(spec, 1, [8, 16], threads=1)
+    assert made == []
+    assert [r.n for r in serial.rows] == [8, 16] and not any(r.failed for r in serial.rows)
+    run_convergence_study(spec, 1, [8, 16], threads=2)
+    assert made == [{"max_workers": 2}]
+
+
 def test_study_marks_solver_failures_but_continues(monkeypatch):
     spec = builtin_problem("N1", 0.5)
     monkeypatch.setattr(ldgsolver, "_NEWTON_MAX_ITER", 1)

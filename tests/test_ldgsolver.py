@@ -1,7 +1,10 @@
 """Tests for the element assembler, the march, and the energy identity."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from fodelab.ldgsolver import (
     SolveOptions,
     SolverError,
     _element_parts,
-    _element_system,
+    _linearize,
+    _prepass,
     downwind_errors,
     energy_diagnostic,
     l2_error,
@@ -99,32 +103,48 @@ def _projected_fields(spec, mesh, k):
     return fields
 
 
+def _element_residuals(spec, mesh, k, fields, inflow_of):
+    """Row-equilibrated residual of every element's assembled system at the
+    given fields, with the history summed pair by pair from field p."""
+    p, kp1 = math.ceil(spec.alpha), k + 1
+    base, quad, _, _ = _prepass(spec, mesh.nodes[:-1], np.diff(mesh.nodes), k, _element_parts(spec, k))
+    residuals = []
+    for j in range(mesh.n):
+        history = np.zeros(kp1)
+        for i in range(j):
+            history = history + history_contribution(
+                spec.frac_order, fields[i, p], mesh.interval(i), mesh.interval(j)
+            )
+        rhs = np.concatenate([np.outer(-inflow_of(j), (-1.0) ** np.arange(kp1)).ravel(), -history])
+        jac, res = _linearize(spec, base[j], quad[j], rhs)(fields[j].ravel())
+        residuals.append(ldgsolver._equilibrate(jac, res)[1])
+    return np.array(residuals)
+
+
 def test_assembled_residual_consistency():
     # plugging the projected exact solution into the assembled local systems
     # must give residuals that shrink with the mesh; an assembly bug (sign,
     # scale, history) shows up as an O(1) or growing residual
     spec = builtin_problem("L1", 0.5)
-    beta = spec.frac_order
-    options = SolveOptions(k=2)
+    k = 2
     worst = {}
     for n in (4, 8):
         mesh = build_mesh(n, spec.horizon)
-        fields = _projected_fields(spec, mesh, options.k)
-        res_max = 0.0
-        for j in range(mesh.n):
-            history = np.zeros(options.k + 1)
-            for i in range(j):
-                history = history + history_contribution(
-                    beta, fields[i, 1], mesh.interval(i), mesh.interval(j)
-                )
-            inflow = np.array([spec.exact(mesh.nodes[j])])
-            y = fields[j].ravel()
-            parts = _element_parts(spec, options.k)
-            residual = _element_system(spec, mesh.interval(j), options.k, history, inflow, parts)(y)[1]
-            res_max = max(res_max, float(np.max(np.abs(residual))))
-        worst[n] = res_max
+        fields = _projected_fields(spec, mesh, k)
+        inflow = lambda j: np.array([spec.exact(mesh.nodes[j])])
+        worst[n] = np.max(np.abs(_element_residuals(spec, mesh, k, fields, inflow)))
     assert worst[8] < worst[4]
-    assert worst[4] / worst[8] > 2.0 ** options.k
+    assert worst[4] / worst[8] > 2.0 ** k
+    # the march's own solution, from the stacked inverses or from Newton,
+    # satisfies every assembled system to roundoff
+    for name, alpha in (("L1", 0.5), ("L1Prime", 0.4), ("N4", 1.3)):
+        spec = builtin_problem(name, alpha)
+        mesh = build_mesh(12, spec.horizon, grading=2.0)
+        sol = march(spec, mesh, SolveOptions(k=k))
+        nfields = sol.coeffs.shape[1]
+        down = sol.coeffs.sum(axis=2)
+        inflow = lambda j: np.array(spec.initial) if j == 0 else down[j - 1, : nfields - 1]
+        assert np.max(np.abs(_element_residuals(spec, mesh, k, sol.coeffs, inflow))) < 1e-12
 
 
 def test_newton_half_step_rescues_an_overshoot():
@@ -220,6 +240,83 @@ def test_differenced_jacobian_matches_analytic_march():
     analytic = march(spec, mesh, SolveOptions(k=2))
     differenced = march(replace(spec, df_dx=None), mesh, SolveOptions(k=2))
     assert np.max(np.abs(differenced.coeffs - analytic.coeffs)) < 1e-12
+
+
+def test_stacked_inverse_matches_newton_path():
+    # a linear spec is solved with the pre-pass's inverse Jacobians; marked
+    # nonlinear, the same problem goes through Newton and np.linalg.solve
+    for name, alpha in (("L1", 0.5), ("L2", 1.5)):
+        spec = builtin_problem(name, alpha)
+        for grading in (1.0, 2.0):
+            mesh = build_mesh(40, spec.horizon, grading=grading)
+            for k in (1, 3):
+                stacked = march(spec, mesh, SolveOptions(k=k)).coeffs[:, 0]
+                newton = march(replace(spec, linear=False), mesh, SolveOptions(k=k)).coeffs[:, 0]
+                assert np.max(np.abs(newton - stacked)) <= 1e-12 * np.max(np.abs(stacked))
+
+
+def test_prepass_chunks_do_not_change_the_march(monkeypatch):
+    # chunk boundaries fall inside every quadrature class of a graded mesh
+    cases = [(builtin_problem(name, alpha), SolveOptions(k=2)) for name, alpha in
+             (("L1Prime", 0.5), ("N4", 1.3), ("L2", 1.5))]
+    meshes = [build_mesh(40, spec.horizon, grading=2.0) for spec, _ in cases]
+    whole = [march(spec, mesh, options) for (spec, options), mesh in zip(cases, meshes)]
+    monkeypatch.setattr(ldgsolver, "_PREPASS_CHUNK", 7)
+    for ((spec, options), mesh, ref) in zip(cases, meshes, whole):
+        sol = march(spec, mesh, options)
+        assert np.max(np.abs(sol.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))
+        assert sol.info["newton_total_iters"] == ref.info["newton_total_iters"]
+
+
+def test_memory_form_is_the_fractional_pairing():
+    # info["memory_form"] sums the march's own history moments into the
+    # pairing of field p = ceil(alpha) with itself
+    l1 = builtin_problem("L1", 0.4)
+    cases = [(l1, build_mesh(48, l1.horizon)), (l1, build_mesh(48, l1.horizon, grading=2.0)),
+             (l1, _random_mesh(48, l1.horizon, 5)),
+             (builtin_problem("N4", 1.3), build_mesh(24, 1.0, grading=2.0)),
+             (builtin_problem("L1", 1.0), build_mesh(16, 1.0)),  # beta = 0: sum_j h_j c.M.c
+             (_poly_problem_alpha2(), build_mesh(5, 1.0))]
+    for spec, mesh in cases:
+        sol = march(spec, mesh, SolveOptions(k=2))
+        c = sol.coeffs[:, math.ceil(spec.alpha)]
+        reference = fraccalc.frac_pairing(spec.frac_order, mesh.nodes, c, c)
+        assert sol.info["memory_form"] == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+def test_import_leaves_scipy_linalg_out():
+    # the element inverses use numpy alone: scipy.linalg would add 40-60 ms
+    # to every process that imports fodelab
+    src = str(Path(ldgsolver.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import fodelab; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_error_helpers_reject_non_finite_exact_values():
+    spec = builtin_problem("L1", 0.5)
+    sol = march(spec, build_mesh(8, spec.horizon), SolveOptions(k=1))
+    for bad in (math.nan, math.inf):
+        def exact(t, bad=bad):
+            return np.where(t > 0.6, bad, spec.exact(t))
+
+        for helper in (l2_error, downwind_errors):
+            with pytest.raises(ValueError, match="not finite at t = 0.6"):
+                helper(sol, exact)
+
+
+def test_l2_error_evaluates_exact_once():
+    # one call on every element's k+5 quadrature times, as a flat array
+    shapes = []
+
+    def exact(t):
+        shapes.append(np.shape(t))
+        return t * t
+
+    mesh = build_mesh(6, 1.5)
+    coeffs = np.array([project(lambda t: t * t, mesh.interval(j), 2) for j in range(mesh.n)])
+    assert l2_error(PiecewisePoly(mesh, 2, coeffs), exact) < 1e-13
+    assert shapes == [(6 * 7,)]
 
 
 def test_error_helpers_on_projected_data():

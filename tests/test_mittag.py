@@ -74,6 +74,10 @@ def test_query_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 MlfQuery(**{"alpha": 0.5, "beta": 1.0, name: value})
+    # the coefficient A may have either sign but must be finite
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="a_coef must be finite"):
+            MlfQuery(alpha=0.5, beta=1.0, a_coef=value)
 
 
 @pytest.fixture
