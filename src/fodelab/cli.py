@@ -12,8 +12,9 @@ failure.
 
 Convergence CSVs are deterministic byte for byte (fixed column set, '%.17g'
 formatting, LF line endings, ordered row assembly); wall time and other
-run metadata go to the JSON mirror only.  ``converge --threads`` sets how
-many study rows run concurrently (default 1).
+run metadata go to the JSON mirror only.  Study rows run one after another
+in the calling thread; ``converge --threads`` is checked (an integer >= 1)
+and otherwise has no effect.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -163,10 +163,9 @@ def run_convergence_study(
     """Mesh-refinement study for one (problem, k): errors, rates, flags.
 
     Each level marches ``SolveOptions(k=k)`` on n uniform elements (the n
-    strictly increasing integers >= 1).  Rows run in the calling thread
-    when ``threads`` (an integer >= 1) is 1, else on up to ``threads`` pool
-    threads, and are assembled in input order, so the report is
-    deterministic.  A solver failure marks its row and the study
+    strictly increasing integers >= 1).  Rows run in input order in the
+    calling thread, so the report is deterministic; ``threads`` must be an
+    integer >= 1 and has no other effect.  A solver failure marks its row and the study
     continues with the remaining levels.  The L2 rate is flagged when it
     lies more than ``rate_tol`` from k+1 either way; the downwind rate only
     when it falls more than ``rate_tol`` short of its expected order, since
@@ -179,7 +178,7 @@ def run_convergence_study(
         raise ValueError("a convergence study needs at least one n")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n values must be strictly increasing, got {n_list}")
-    threads = _check_int("threads", threads, 1)
+    _check_int("threads", threads, 1)
     options = SolveOptions(k=k)
 
     start = time.perf_counter()
@@ -192,11 +191,7 @@ def run_convergence_study(
         errs = downwind_errors(sol, spec.exact)
         return float(errs[-1]), float(np.max(errs)), l2_error(sol, spec.exact)
 
-    if threads == 1:
-        outcomes = [attempt(n) for n in n_list]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, n_list))
+    outcomes = [attempt(n) for n in n_list]
 
     rows: list[StudyRow] = []
     flags: list[str] = []
@@ -457,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="deviation from the expected L2 rate, or shortfall below the "
                         "expected downwind rate, that raises a flag")
     p.add_argument("--threads", type=int, default=1,
-                   help="row parallelism (default: 1)")
+                   help="accepted for compatibility; rows always run one at a time")
     p.set_defaults(handler=cmd_converge)
 
     p = sub.add_parser("mlf", help="tabulate a Mittag-Leffler curve")

@@ -55,9 +55,9 @@ class SolverError(RuntimeError):
 class SolveOptions:
     """The one discretization choice: the polynomial degree k of every element.
 
-    Everything else about the element solve is fixed: linear problems take
-    one direct solve, nonlinear ones Newton from the inflow values held
-    constant, to the tolerance and iteration cap of ``newton_solve``.
+    Everything else is fixed: linear problems take one matrix-vector product
+    with the pre-pass's inverse, nonlinear ones Newton from the inflow values
+    held constant, to the tolerance and iteration cap of ``newton_solve``.
     """
 
     k: int = 1
@@ -154,32 +154,32 @@ def _prepass(spec: ProblemSpec, a: np.ndarray, h: np.ndarray, k: int, parts):
     """The systems of the elements [a, a + h], all but their history and inflow.
 
     Unknowns are the stacked modal coefficients y = (c_0, ..., c_{F-1}).
-    Returns (base, quad, load, inverse): the stack of chain + h*mass +
-    h**(1+beta)*memory plus damping, and each element's data quadrature
-    (t, w, tab) with k+3 Gauss points (more near t = 0).  A linear spec has
-    f(x, t) = f(0, t) + df_dx(t)*x: load stacks the moments of f(0, t), and
-    inverse the inverse Jacobians, rows equilibrated before and the scale
-    folded into the columns after.  Otherwise load is 0 and inverse None.
+    Returns (base, quad, load, inverse).  Nonlinear specs get base, the stack
+    chain + h*mass + h**(1+beta)*memory plus damping, and quad, each
+    element's data quadrature (t, w, tab) with k+3 Gauss points (more near
+    t = 0).  A linear spec, f(x, t) = f(0, t) + df_dx(t)*x, gets load, the
+    moments of f(0, t), and inverse, the inverse Jacobians (base minus the
+    df_dx block), rows equilibrated before and the scale folded into the
+    columns after.  The other two entries are None.
     """
     kp1, m = k + 1, spec.m
     base = parts[0] + h[:, None, None] * parts[1]  # chain + h*mass
     base += (h ** (1.0 + spec.frac_order))[:, None, None] * parts[2]
-    quad, load, drift = [None] * h.size, np.zeros((h.size, kp1)), np.zeros((h.size, kp1, kp1))
+    quad, load = (None, np.empty((h.size, kp1))) if spec.linear else ([None] * h.size, None)
     for index, t, w, tab in _quad_classes(a, h, k, k + 3):
         if m >= 1:
             base[index, -kp1:, m * kp1:(m + 1) * kp1] += tab.T @ ((w * _on(spec.d, t))[..., None] * tab)
-        if spec.linear:
+        if spec.linear:  # base becomes the Jacobian
             load[index] = (w * _on(lambda s: spec.f(np.zeros_like(s), s), t)) @ tab
             slope = _on(lambda s: spec.df_dx(np.zeros_like(s), s), t)
-            drift[index] = tab.T @ ((w * slope)[..., None] * tab)
-        for e, te, we in zip(index.tolist(), t, w):
-            quad[e] = te, we, tab
+            base[index, -kp1:, :kp1] -= tab.T @ ((w * slope)[..., None] * tab)
+        else:
+            for e, te, we in zip(index.tolist(), t, w):
+                quad[e] = te, we, tab
     if not spec.linear:
-        return base, quad, load, None
-    jac = base.copy()
-    jac[:, -kp1:, :kp1] -= drift
-    scaled, unscale = _equilibrate(jac, np.ones(jac.shape[:2]))  # residual 1 gives 1/scale
-    return base, quad, load, np.linalg.inv(scaled) * unscale[:, None, :]
+        return base, quad, None, None
+    scaled, unscale = _equilibrate(base, np.ones(base.shape[:2]))  # residual 1 gives 1/scale
+    return None, None, load, np.linalg.inv(scaled) * unscale[:, None, :]
 
 
 def _linearize(spec: ProblemSpec, base: np.ndarray, quad, rhs: np.ndarray) -> Callable:
@@ -283,8 +283,9 @@ def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) ->
             stop = min(j + _PREPASS_CHUNK, n)
             base, quad, load, inverse = _prepass(spec, nodes[j:stop], widths[j:stop], k, parts)
         moments[j] = 0.0 if history is None else history(memory, j)
-        rhs = np.concatenate([np.outer(-inflow, _LEFT_SIGNS[:kp1]).ravel(), load[e] - moments[j]])
+        rhs = np.concatenate([np.outer(-inflow, _LEFT_SIGNS[:kp1]).ravel(), -moments[j]])
         if inverse is not None:
+            rhs[-kp1:] += load[e]
             y, iters = inverse[e] @ rhs, 0
         else:
             guess = np.zeros(nfields * kp1)

@@ -121,7 +121,8 @@ class ProblemSpec:
             raise ValueError("coefficient d(t) must be present exactly when m >= 1")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        # linear problems get one unchecked solve: a differenced Jacobian's error would stay
+        # linear problems get one unchecked matrix-vector product with the pre-pass's inverse:
+        # a differenced Jacobian's error would stay
         if self.linear and self.df_dx is None:
             raise ValueError(f"{self.name}: a linear problem needs df_dx")
         need = _required_initial_count(self.alpha, self.m)

@@ -1,6 +1,7 @@
 """Tests for the command line layer: rate fitting, reports, subcommands."""
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fodelab.cli import (
     run_convergence_study,
     run_validation,
 )
+from fodelab.ldgsolver import march
 from fodelab.problem import builtin_problem, load_problem_config
 
 
@@ -107,21 +109,19 @@ def test_study_threads_do_not_change_bytes():
     assert serial == parallel
 
 
-def test_study_with_one_thread_constructs_no_executor(monkeypatch):
-    made = []
+def test_study_rows_run_in_the_calling_thread(monkeypatch):
+    callers = []
 
-    class Recording(cli.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs)
-            super().__init__(*args, **kwargs)
+    def recording_march(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return march(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "march", recording_march)
     spec = builtin_problem("L1", 0.5)
-    serial = run_convergence_study(spec, 1, [8, 16], threads=1)
-    assert made == []
-    assert [r.n for r in serial.rows] == [8, 16] and not any(r.failed for r in serial.rows)
-    run_convergence_study(spec, 1, [8, 16], threads=2)
-    assert made == [{"max_workers": 2}]
+    for threads in (1, 2):
+        report = run_convergence_study(spec, 1, [8, 16], threads=threads)
+        assert [r.n for r in report.rows] == [8, 16] and not any(r.failed for r in report.rows)
+    assert callers == [threading.get_ident()] * 4
 
 
 def test_study_marks_solver_failures_but_continues(monkeypatch):

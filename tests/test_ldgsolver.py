@@ -24,7 +24,7 @@ from fodelab.ldgsolver import (
     march,
     newton_solve,
 )
-from fodelab.polybasis import project
+from fodelab.polybasis import MAX_DEGREE, project
 from fodelab.problem import (
     Mesh,
     PiecewisePoly,
@@ -107,7 +107,9 @@ def _element_residuals(spec, mesh, k, fields, inflow_of):
     """Row-equilibrated residual of every element's assembled system at the
     given fields, with the history summed pair by pair from field p."""
     p, kp1 = math.ceil(spec.alpha), k + 1
-    base, quad, _, _ = _prepass(spec, mesh.nodes[:-1], np.diff(mesh.nodes), k, _element_parts(spec, k))
+    # marked nonlinear, the pre-pass keeps each element's base and quadrature
+    nonlinear = replace(spec, linear=False)
+    base, quad, _, _ = _prepass(nonlinear, mesh.nodes[:-1], np.diff(mesh.nodes), k, _element_parts(spec, k))
     residuals = []
     for j in range(mesh.n):
         history = np.zeros(kp1)
@@ -244,12 +246,13 @@ def test_differenced_jacobian_matches_analytic_march():
 
 def test_stacked_inverse_matches_newton_path():
     # a linear spec is solved with the pre-pass's inverse Jacobians; marked
-    # nonlinear, the same problem goes through Newton and np.linalg.solve
+    # nonlinear, the same problem goes through Newton and np.linalg.solve;
+    # k = 8 is the largest degree, where the element systems are largest
     for name, alpha in (("L1", 0.5), ("L2", 1.5)):
         spec = builtin_problem(name, alpha)
         for grading in (1.0, 2.0):
             mesh = build_mesh(40, spec.horizon, grading=grading)
-            for k in (1, 3):
+            for k in (1, 3, MAX_DEGREE):
                 stacked = march(spec, mesh, SolveOptions(k=k)).coeffs[:, 0]
                 newton = march(replace(spec, linear=False), mesh, SolveOptions(k=k)).coeffs[:, 0]
                 assert np.max(np.abs(newton - stacked)) <= 1e-12 * np.max(np.abs(stacked))
