@@ -31,9 +31,10 @@ import numpy as np
 from . import fraccalc, polybasis
 from .ldgsolver import SolveOptions, SolverError, downwind_errors, l2_error, march
 from .mittag import MlfQuery, mlf_series, mlf_solve
-from .polybasis import _check_int
+from .polybasis import _check_int, _check_real
 from .problem import (
     BUILTIN_NAMES,
+    _ALPHA_RANGES,
     _read_config,
     build_mesh,
     builtin_problem,
@@ -167,9 +168,9 @@ def run_convergence_study(
     calling thread, so the report is deterministic; ``threads`` must be an
     integer >= 1 and has no other effect.  A solver failure marks its row and the study
     continues with the remaining levels.  The L2 rate is flagged when it
-    lies more than ``rate_tol`` from k+1 either way; the downwind rate only
-    when it falls more than ``rate_tol`` short of its expected order, since
-    that order is a lower bound.
+    lies more than ``rate_tol`` (finite, >= 0) from k+1 either way; the
+    downwind rate only when it falls more than ``rate_tol`` short of its
+    expected order, since that order is a lower bound.
     """
     if spec.exact is None:
         raise ValueError("a convergence study needs a problem with an exact solution")
@@ -179,6 +180,7 @@ def run_convergence_study(
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n values must be strictly increasing, got {n_list}")
     _check_int("threads", threads, 1)
+    rate_tol = _check_real("rate_tol", rate_tol, 0.0, math.inf, "[)")
     options = SolveOptions(k=k)
 
     start = time.perf_counter()
@@ -296,10 +298,8 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
 
     # built-in problems: forcing consistency with the stated exact solutions
     err = 0.0
-    ranges = {"L1": (0.0, 1.0), "N1": (0.0, 1.0), "L1Prime": (0.0, 1.0),
-              "N5": (1.0, 2.0), "N4": (1.0, 2.0), "L2": (1.0, 2.0)}
     for name in BUILTIN_NAMES:
-        lo, hi = ranges[name]
+        lo, hi, _ = _ALPHA_RANGES[name]
         for i in range(1, 10):
             alpha = lo + (hi - lo) * i / 10.0
             err = max(err, verify_forcing(builtin_problem(name, alpha)))

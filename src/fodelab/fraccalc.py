@@ -55,6 +55,8 @@ from scipy.special import gammaln, hyp2f1, rgamma
 from .polybasis import (
     MAX_DEGREE,
     _check_degree,
+    _check_int,
+    _check_real,
     gauss_jacobi,
     gauss_legendre,
     legendre_table,
@@ -118,10 +120,8 @@ def caputo_power(alpha: float, j: int) -> float:
 
     For integer exponents j below ceil(alpha) the Caputo derivative is zero.
     """
-    if alpha < 0:
-        raise ValueError(f"derivative order must be >= 0, got {alpha}")
-    if j < 0:
-        raise ValueError(f"power must be >= 0, got {j}")
+    alpha = _check_real("derivative order alpha", alpha, 0.0, inf, "[)")
+    j = _check_int("power j", j, 0, 2**53)  # j + 1.0 below must be exact
     if alpha == 0:
         return 1.0
     if j < ceil(alpha):
@@ -131,18 +131,14 @@ def caputo_power(alpha: float, j: int) -> float:
 
 def frac_int_power_coeff(beta: float, n) -> np.ndarray | float:
     """Coefficient n!/Gamma(n+1+beta) in  I^beta[(t-a)**n] = c * (t-a)**(n+beta), beta >= 0."""
-    if not beta >= 0:
-        raise ValueError(f"integral order must be nonnegative, got {beta}")
+    beta = _check_real("integral order beta", beta, 0.0, inf, "[)")
     n_arr = np.asarray(n, dtype=float)
     out = np.exp(gammaln(n_arr + 1.0) - gammaln(n_arr + 1.0 + beta))
     return out if np.ndim(n) else float(out)
 
 
 def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 < beta <= 1.5:
-        raise ValueError(f"integral order must lie in (0, 1.5], got {beta}")
-    return beta
+    return _check_real("integral order beta", beta, 0.0, 1.5, "(]")
 
 
 def _g_moments(k: int, gammas: np.ndarray) -> np.ndarray:
@@ -323,9 +319,7 @@ def far_history_sum(
         raise ValueError("source intervals must be (nsrc, 2) and coefficients (nsrc, k+1)")
     k = c.shape[1] - 1
     a_t, b_t = map(float, target_interval)
-    h_t = b_t - a_t
-    if not 0.0 < h_t < inf:
-        raise ValueError("the target interval must have positive finite width")
+    h_t = _check_real("target width", b_t - a_t, 0.0)
     if not c.shape[0]:
         return np.zeros(k + 1)
     h_s = src[:, 1] - src[:, 0]
@@ -390,9 +384,8 @@ def history_contribution(
         raise ValueError(f"source coefficients must be a vector of degree <= {MAX_DEGREE} polynomial")
     a_s, b_s = map(float, source_interval)
     a_t, b_t = map(float, target_interval)
-    h_s, h_t = b_s - a_s, b_t - a_t
-    if not (0.0 < h_s < inf and 0.0 < h_t < inf):
-        raise ValueError("intervals must have positive finite width")
+    h_s = _check_real("source width", b_s - a_s, 0.0)
+    h_t = _check_real("target width", b_t - a_t, 0.0)
     scale = max(abs(a_s), abs(b_t), h_s, h_t)
     if b_s > a_t + 1e-12 * scale:
         raise ValueError("source element must precede the target element")
@@ -550,9 +543,7 @@ def rl_derivative_eval(mu: float, solution, t) -> np.ndarray | float:
     then vanish identically, but the near-field sources only cancel to
     roundoff (up to a few 1e-11 relative on k = 3 data).
     """
-    mu = float(mu)
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"derivative order must lie in [0, 1), got {mu}")
+    mu = _check_real("derivative order mu", mu, 0.0, 1.0, "[)")
     nodes, coeffs = _solution_field(solution)
     return _conv_eval(1.0 - mu, nodes, coeffs, t, differentiate=True)
 
@@ -632,12 +623,11 @@ def oracle_frac_block(
     a source with coefficients c gives the moments ``B @ c``.  Same-interval
     blocks use two nested Gauss-Jacobi rules that are exact for polynomial
     data.  Disjoint intervals use corner-refined composite quadrature at two
-    resolutions; if the two disagree in any entry beyond ``tol`` (relative,
-    with a floor at the roundoff level of that entry) an OracleError is
-    raised.
+    resolutions; if the two disagree in any entry beyond ``tol`` in (0, 1]
+    (relative, with a floor at the roundoff level of that entry) an
+    OracleError is raised.
     """
-    beta = _check_beta(beta)
-    k = _check_degree(k)
+    beta, k, tol = _check_beta(beta), _check_degree(k), _check_real("tol", tol, 0.0, 1.0, "(]")
     a_i, b_i = map(float, inner_interval)
     a_j, b_j = map(float, outer_interval)
     if not (b_i > a_i and b_j > a_j):

@@ -246,6 +246,7 @@ def newton_solve(linearize: Callable, guess: np.ndarray) -> tuple[np.ndarray, in
     )
 
 
+@np.errstate(all="ignore")  # an overflow on the way ends in the SolverError for non-finite values
 def march(spec: ProblemSpec, mesh: Mesh, options: SolveOptions | None = None) -> PiecewisePoly:
     """Solve the problem by one sweep over the mesh.
 

@@ -30,7 +30,7 @@ from scipy.special import gammaln
 
 from .fraccalc import frac_integral_eval, rl_derivative_eval
 from .ldgsolver import SolveOptions, march
-from .polybasis import MAX_DEGREE, _check_int
+from .polybasis import MAX_DEGREE, _check_int, _check_real
 from .problem import build_mesh, linear_model
 
 __all__ = ["MlfQuery", "mlf_series", "mlf_solve"]
@@ -52,18 +52,13 @@ class MlfQuery:
     k: int = 3
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not math.isfinite(self.a_coef):
-            raise ValueError(f"a_coef must be finite, got {self.a_coef}")
-        if not 0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        for name, low in (("alpha", 0.0), ("beta", 0.0), ("a_coef", -math.inf), ("t_max", 0.0)):
+            _check_real(name, getattr(self, name), low)
         for name, low, high in (("sample_count", 1, None), ("n", 1, None), ("k", 0, MAX_DEGREE)):
             _check_int(name, getattr(self, name), low, high)
 
 
+@np.errstate(invalid="ignore")  # orders past ~1e305 overflow gammaln: a NaN ratio never certifies
 def mlf_series(alpha: float, beta: float, z: float, tol: float = 1e-12) -> float:
     """Sum of the defining series with a certified error bound.
 
@@ -76,11 +71,9 @@ def mlf_series(alpha: float, beta: float, z: float, tol: float = 1e-12) -> float
     terms exceeds the requested tolerance; the solver path (mlf_solve)
     covers those regimes instead.
     """
-    if not alpha > 0 or not beta > 0:
-        raise ValueError("alpha and beta must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not np.isfinite(z) or abs(z) > _SERIES_RADIUS:
+    alpha, beta = _check_real("alpha", alpha, 0.0), _check_real("beta", beta, 0.0)
+    tol, z = _check_real("tol", tol, 0.0), _check_real("z", z)
+    if abs(z) > _SERIES_RADIUS:
         raise ValueError(
             f"|z| = {abs(z):.3g} is beyond the series' reliable radius "
             f"{_SERIES_RADIUS}; use the solver path"
@@ -154,8 +147,9 @@ def mlf_solve(query: MlfQuery, times=None) -> tuple[np.ndarray, np.ndarray]:
     or in the sample times march once: one alpha with several beta is the
     common request, and a longer memo would hold solutions no query reuses.
     """
-    if query.alpha > 2.0:
-        raise ValueError("the solver path supports alpha in (0, 2]")
+    # the solver path's ranges: beta - 1 is an integral order of at most 1.5
+    for name, high in (("alpha", 2.0), ("beta", 2.5)):
+        _check_real(name, getattr(query, name), 0.0, high, "(]")
     if times is None:
         times = np.linspace(0.0, query.t_max, query.sample_count)
     times = np.asarray(times, dtype=float)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf, nan
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +63,26 @@ def _check_int(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _check_real(name: str, value, low: float = -inf, high: float = inf, ends: str = "()") -> float:
+    """``value`` as a finite float between low and high, each end open or closed as
+    ``ends`` says ("()", "(]", "[)" or "[]"); bools, strings, None, containers and NaN
+    raise, naming ``name``, its range and the value."""
+    if type(value) is float and low < value < high:  # the hot path: a float inside the range
+        return value
+    x = value
+    if type(x) is not float:
+        real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+        x = float(x) if real and (type(x) is not int or abs(x) <= float_info.max) else nan
+    closed = x == low and ends[0] == "[" or x == high and ends[1] == "]"
+    if not (low < x < high or closed and abs(x) < inf):
+        words = {(0.0, "("): "positive and finite", (0.0, "["): "nonnegative and finite",
+                 (-inf, "("): "finite"}
+        span = words.get((low, ends[0])) if high == inf else None
+        span = span or f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+    return x
+
+
 def _check_degree(k: int) -> int:
     return _check_int("polynomial degree k", k, 0, MAX_DEGREE)
 
@@ -88,14 +109,15 @@ def gauss_jacobi(n: int, a: float, b: float) -> QuadRule:
 
     Args:
         n: number of nodes, >= 1.
-        a: exponent at the right endpoint, must satisfy a > -1.
-        b: exponent at the left endpoint, must satisfy b > -1.
+        a: exponent at the right endpoint, in (-1, 500].
+        b: exponent at the left endpoint, in (-1, 500].
     """
     n = _check_int("quadrature order n", n, 1)
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
+    # past a few hundred, 2**(a + b + 1) below and scipy's rule overflow
+    a, b = (_check_real(f"Jacobi exponent {name}", v, -1.0, 500.0, "(]")
+            for name, v in (("a", a), ("b", b)))
     # scipy's convention: weight (1-x)^a (1+x)^b on [-1, 1].
-    x, w = roots_jacobi(n, float(a), float(b))
+    x, w = roots_jacobi(n, a, b)
     nodes = 0.5 * (x + 1.0)
     weights = w / 2.0 ** (a + b + 1.0)
     nodes.flags.writeable = False

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fraccalc import caputo_power
-from .polybasis import MAX_DEGREE, _check_int, eval_poly
+from .polybasis import MAX_DEGREE, _check_int, _check_real, eval_poly
 
 __all__ = [
     "Mesh",
@@ -74,11 +74,8 @@ def build_mesh(n: int, horizon: float, grading: float = 1.0) -> Mesh:
     which compensates the t**alpha startup singularity of fractional
     problems with non-smooth solutions.
     """
-    n = _check_int("n", n, 1)
-    if not np.isfinite(horizon) or horizon <= 0:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not np.isfinite(grading) or grading < 1.0:
-        raise ValueError(f"grading must be finite and >= 1, got {grading}")
+    n, horizon = _check_int("n", n, 1), _check_real("horizon", horizon, 0.0)
+    grading = _check_real("grading", grading, 1.0, math.inf, "[)")
     j = np.arange(n + 1, dtype=float) / n
     return Mesh(horizon * j**grading)
 
@@ -113,25 +110,21 @@ class ProblemSpec:
     exact_monomials: tuple | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"fractional order must lie in (0, 2], got {self.alpha}")
-        if self.m < 0:
-            raise ValueError(f"classic derivative order must be >= 0, got {self.m}")
-        if (self.m >= 1) != (self.d is not None):
+        _check_real("alpha", self.alpha, 0.0, 2.0, "(]")
+        _check_real("horizon", self.horizon, 0.0)
+        if (_check_int("m", self.m, 0) >= 1) != (self.d is not None):
             raise ValueError("coefficient d(t) must be present exactly when m >= 1")
-        if not 0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         # linear problems get one unchecked matrix-vector product with the pre-pass's inverse:
         # a differenced Jacobian's error would stay
         if self.linear and self.df_dx is None:
             raise ValueError(f"{self.name}: a linear problem needs df_dx")
         need = _required_initial_count(self.alpha, self.m)
-        initial = tuple(float(v) for v in self.initial)
-        if len(initial) != need or not all(map(math.isfinite, initial)):
-            raise ValueError(
-                f"{self.name}: expected {need} finite initial values for alpha={self.alpha}, "
-                f"m={self.m}, got {initial}"
-            )
+        initial = self.initial.tolist() if isinstance(self.initial, np.ndarray) else self.initial
+        if isinstance(initial, (str, bytes)) or not isinstance(initial, Sequence) \
+                or len(initial) != need:
+            raise ValueError(f"{self.name}: initial must be a sequence of {need} values for "
+                             f"alpha={self.alpha}, m={self.m}, got {self.initial!r}")
+        initial = tuple(_check_real(f"initial[{i}]", v) for i, v in enumerate(initial))
         object.__setattr__(self, "initial", initial)
 
     @property
@@ -188,7 +181,10 @@ def _initial_from_monomials(mono: Sequence[float], count: int) -> tuple:
 
 _GAMMA6 = math.gamma(6.0)
 
-BUILTIN_NAMES = ("L1", "N1", "L1Prime", "N5", "N4", "L2")
+#: Each builtin's range of alpha: (low, high, ends) as _check_real takes them.
+_ALPHA_RANGES = {"L1": (0.0, 1.0, "(]"), "N1": (0.0, 1.0, "(]"), "L1Prime": (0.0, 1.0, "(]"),
+                 "N5": (1.0, 2.0, "[]"), "N4": (1.0, 2.0, "[]"), "L2": (1.0, 2.0, "[]")}
+BUILTIN_NAMES = tuple(_ALPHA_RANGES)
 
 
 def builtin_problem(name: str, alpha: float) -> ProblemSpec:
@@ -199,11 +195,12 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
     values are derived from the exact solution so the count always matches
     max(ceil(alpha), m) even at integer alpha.
     """
-    key = name.strip().lower()
-    alpha = float(alpha)
+    key = {b.lower(): b for b in BUILTIN_NAMES}.get(str(name).strip().lower())
+    if key is None:
+        raise ValueError(f"unknown builtin problem {name!r}; choose from {BUILTIN_NAMES}")
+    alpha = _check_real(f"alpha for {key}", alpha, *_ALPHA_RANGES[key])
 
-    if key == "l1":
-        _check_range(name, alpha, 0.0, 1.0)
+    if key == "L1":
         mono = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
         g = _GAMMA6 / math.gamma(6.0 - alpha)
         return _make(
@@ -211,8 +208,7 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
             f=lambda x, t: -2.0 * x + g * t ** (5.0 - alpha) + 2.0 * t**5 + 2.0,
             df=lambda x, t: -2.0 * np.ones_like(np.asarray(t, dtype=float)),
         )
-    if key == "n1":
-        _check_range(name, alpha, 0.0, 1.0)
+    if key == "N1":
         mono = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
         g = _GAMMA6 / math.gamma(6.0 - alpha)
         return _make(
@@ -220,8 +216,7 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
             f=lambda x, t: -2.0 * x**2 + g * t ** (5.0 - alpha) + 2.0 * t**10 + 4.0 * t**5 + 2.0,
             df=lambda x, t: -4.0 * x,
         )
-    if key == "l1prime":
-        _check_range(name, alpha, 0.0, 1.0)
+    if key == "L1Prime":
         mono = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
         g = _GAMMA6 / math.gamma(6.0 - alpha)
         return _make(
@@ -230,8 +225,7 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
             f=lambda x, t: -2.0 * x + g * t ** (5.0 - alpha) + 2.0 * t**5 + 5.0 * t**4 + 2.0,
             df=lambda x, t: -2.0 * np.ones_like(np.asarray(t, dtype=float)),
         )
-    if key == "n5":
-        _check_range(name, alpha, 1.0, 2.0)
+    if key == "N5":
         mono = (1.0, 1.0, 0.5, 0.0, 0.0, 1.0)
         g = _GAMMA6 / math.gamma(6.0 - alpha)
         g2 = math.gamma(1.0) / math.gamma(3.0 - alpha)
@@ -245,8 +239,7 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
             ),
             df=lambda x, t: -4.0 * x,
         )
-    if key == "n4":
-        _check_range(name, alpha, 1.0, 2.0)
+    if key == "N4":
         mono = (1.0, 1.0, 0.0, 0.0, 0.0, 1.0)
         g = _GAMMA6 / math.gamma(6.0 - alpha)
         return _make(
@@ -258,21 +251,13 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
             ),
             df=lambda x, t: -4.0 * x,
         )
-    if key == "l2":
-        _check_range(name, alpha, 1.0, 2.0)
-        mono = (1.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-        g = _GAMMA6 / math.gamma(6.0 - alpha)
-        return _make(
-            name="L2", alpha=alpha, m=0, d=None, horizon=1.0, mono=mono, linear=True,
-            f=lambda x, t: -2.0 * x + g * t ** (5.0 - alpha) + 2.0 * t**5 + 2.0 * t + 2.0,
-            df=lambda x, t: -2.0 * np.ones_like(np.asarray(t, dtype=float)),
-        )
-    raise ValueError(f"unknown builtin problem {name!r}; choose from {BUILTIN_NAMES}")
-
-
-def _check_range(name: str, alpha: float, lo: float, hi: float):
-    if not (lo < alpha <= hi) and not (alpha == lo > 0.0):
-        raise ValueError(f"{name} is stated for alpha in [{lo}, {hi}] (and requires alpha > 0), got {alpha}")
+    mono = (1.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # L2
+    g = _GAMMA6 / math.gamma(6.0 - alpha)
+    return _make(
+        name="L2", alpha=alpha, m=0, d=None, horizon=1.0, mono=mono, linear=True,
+        f=lambda x, t: -2.0 * x + g * t ** (5.0 - alpha) + 2.0 * t**5 + 2.0 * t + 2.0,
+        df=lambda x, t: -2.0 * np.ones_like(np.asarray(t, dtype=float)),
+    )
 
 
 def _make(name, alpha, m, d, horizon, mono, linear, f, df) -> ProblemSpec:
@@ -294,8 +279,7 @@ def _make(name, alpha, m, d, horizon, mono, linear, f, df) -> ProblemSpec:
 
 def linear_model(alpha: float, a: float, b: float, initial: Sequence[float], horizon: float) -> ProblemSpec:
     """The model problem D^alpha x = a*x + b with given initial values."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"coefficients a and b must be finite, got a={a}, b={b}")
+    a, b = _check_real("a", a), _check_real("b", b)
 
     def f(x, t):
         return a * x + b + 0.0 * np.asarray(t, dtype=float)
@@ -308,7 +292,7 @@ def linear_model(alpha: float, a: float, b: float, initial: Sequence[float], hor
         alpha=alpha,
         f=f,
         df_dx=df,
-        initial=tuple(initial),
+        initial=initial,
         horizon=horizon,
         linear=True,
     )
@@ -360,24 +344,20 @@ def load_problem_config(source) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     try:
-        alpha = float(cfg["alpha"])
-        forcing = str(cfg["forcing"])
+        forcing, alpha = cfg["forcing"], cfg["alpha"]
     except KeyError as exc:
         raise ValueError(f"config is missing required key {exc}") from exc
 
     spec = builtin_problem(forcing, alpha)
     if "m" in cfg and _check_int("m", cfg["m"], 0) != spec.m:
         raise ValueError(f"config m={cfg['m']} conflicts with builtin {spec.name} (m={spec.m})")
-    horizon = float(cfg.get("T", spec.horizon))
-    initial = tuple(float(v) for v in cfg.get("initial", spec.initial))
-    if horizon != spec.horizon or initial != spec.initial:
+    horizon = _check_real("T", cfg.get("T", spec.horizon), 0.0)
+    given = replace(spec, initial=cfg.get("initial", spec.initial), horizon=horizon)
+    if (horizon, given.initial) != (spec.horizon, spec.initial):
         # the stated solution holds on (0, T] only, and for its own initial values
-        covered = horizon <= spec.horizon and initial == spec.initial
-        spec = replace(
-            spec, initial=initial, horizon=horizon,
-            exact=spec.exact if covered else None,
-            exact_monomials=spec.exact_monomials if covered else None,
-        )
+        covered = horizon <= spec.horizon and given.initial == spec.initial
+        spec = replace(given, exact=spec.exact if covered else None,
+                       exact_monomials=spec.exact_monomials if covered else None)
     n = _check_int("n", cfg.get("n", 16), 1)
     k = _check_int("k", cfg.get("k", 2), 0, MAX_DEGREE)
     return {"spec": spec, "n": n, "k": k}

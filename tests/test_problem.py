@@ -80,15 +80,15 @@ def test_spec_rejects_non_finite_inputs():
     for horizon in (math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             linear_model(0.5, -1.0, 0.0, (1.0,), horizon)
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
             load_problem_config({"alpha": 0.5, "forcing": "L1", "T": horizon})
     for initial in ((math.nan,), (math.inf,)):
-        with pytest.raises(ValueError, match="finite initial values"):
+        with pytest.raises(ValueError, match=r"initial\[0\] must be finite"):
             linear_model(0.5, -1.0, 0.0, initial, 1.0)
-    with pytest.raises(ValueError, match="finite initial values"):
+    with pytest.raises(ValueError, match=r"initial\[1\] must be finite"):
         load_problem_config({"alpha": 1.5, "forcing": "N4", "initial": [1.0, math.nan]})
-    for a, b in ((math.nan, 0.0), (-1.0, math.inf)):
-        with pytest.raises(ValueError, match="a and b must be finite"):
+    for a, b, name in ((math.nan, 0.0, "a"), (-1.0, math.inf, "b")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             linear_model(0.5, a, b, (1.0,), 1.0)
 
 
